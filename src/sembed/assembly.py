@@ -10,6 +10,7 @@ formulation explicitly pairs with v(x).
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -153,14 +154,23 @@ def _eval_field(data, rec, points):
     return np.full(points.shape[0], float(data))
 
 
-def _eval_flux(data, rec):
+def _takes_normal(data) -> bool:
+    """Whether flux data is a callable that accepts (x, n), judged once from
+    its signature; a callable without one is called as q(x)."""
+    if not callable(data):
+        return False
+    try:
+        inspect.signature(data).bind(None, None)
+    except (TypeError, ValueError):
+        return False
+    return True
+
+
+def _eval_flux(data, rec, takes_normal):
     """Flux data q = grad(u) . n; callables may take (x, n) so the conformal
     path gets the surrogate normal and the shifted path the true one."""
-    if callable(data):
-        try:
-            return np.asarray(data(rec.x, rec.n), dtype=float)
-        except TypeError:
-            return np.asarray(data(rec.x), dtype=float)
+    if takes_normal:
+        return np.asarray(data(rec.x, rec.n), dtype=float)
     return _eval_field(data, rec, rec.x)
 
 
@@ -199,21 +209,17 @@ class _Accumulator:
 
 
 def _elem_traces(domain, elem, rec):
-    """Basis values/normal derivatives at x_bar and at the mapped x."""
-    mesh = domain.mesh
-    binv = mesh.affine_b_inv[rec.elem]
-
-    vbar = elem.eval_basis(rec.rs_bar[:, 0], rec.rs_bar[:, 1])
-    vmap = elem.eval_basis(rec.rs_map[:, 0], rec.rs_map[:, 1])
-    gr, gs = elem.eval_basis_grad(rec.rs_bar[:, 0], rec.rs_bar[:, 1])
-    gx = gr * binv[0, 0] + gs * binv[1, 0]
-    gy = gr * binv[0, 1] + gs * binv[1, 1]
-    gbarn = gx * rec.nbar[0] + gy * rec.nbar[1]
-    gr, gs = elem.eval_basis_grad(rec.rs_map[:, 0], rec.rs_map[:, 1])
-    gx = gr * binv[0, 0] + gs * binv[1, 0]
-    gy = gr * binv[0, 1] + gs * binv[1, 1]
-    gmapn = gx * rec.n[:, 0:1] + gy * rec.n[:, 1:2]
-    return vbar, vmap, gbarn, gmapn
+    """Basis values/normal derivatives at x_bar and at the mapped x: the
+    record's rows of the domain's trace table. `assemble` takes every
+    record's traces through this one function."""
+    traces = domain.traces
+    rows = traces.rows[rec.edge]
+    return (
+        traces.vbar[rows],
+        traces.vmap[rows],
+        traces.gbarn[rows],
+        traces.gmapn[rows],
+    )
 
 
 def _match_condition(problem, rec):
@@ -272,6 +278,11 @@ def assemble(
     h_avg = domain.h_avg
     gamma_global = problem.gamma if problem.gamma is not None else h_avg / 2.0
     row_of = {n: i for i, n in enumerate(domain.active)}
+    takes_normal = {
+        id(c): _takes_normal(c.data if isinstance(c, NeumannBC) else c.q_data)
+        for c in problem.conditions
+        if isinstance(c, (NeumannBC, RobinBC))
+    }
 
     untagged = []
     for rec in domain.records:
@@ -316,7 +327,7 @@ def assemble(
                 bvec += vbar.T @ (w * ud) / gamma
 
         elif isinstance(cond, NeumannBC):
-            qn = _eval_flux(cond.data, rec)
+            qn = _eval_flux(cond.data, rec, takes_normal[id(cond)])
             nn = (rec.nbar * rec.n).sum(axis=1)
             block -= (vbar * w[:, None]).T @ gbarn
             block += (vbar * (w * nn)[:, None]).T @ gmapn
@@ -327,7 +338,7 @@ def assemble(
 
         elif isinstance(cond, RobinBC):
             ud = _eval_field(cond.u_data, rec, rec.x)
-            qn = _eval_flux(cond.q_data, rec)
+            qn = _eval_flux(cond.q_data, rec, takes_normal[id(cond)])
             eps = _eval_field(cond.eps, rec, rec.x)
             if np.any(eps <= 0):
                 raise ValueError("Robin eps must be positive on the boundary")

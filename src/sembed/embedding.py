@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -57,6 +58,52 @@ class EdgeRecords:
 
 
 @dataclass(frozen=True)
+class BoundaryTraces:
+    """Owner-element basis traces at every record's quadrature points.
+
+    Rows stack the records in order, one row per quadrature point; columns
+    are the owner's nodal basis functions. `rows[edge]` is the slice of the
+    record on surrogate edge `edge`.
+    """
+
+    rows: dict  # surrogate edge -> slice of its record's rows
+    owner: np.ndarray  # (nq_total,) owning element of each row
+    vbar: np.ndarray  # basis values at x_bar
+    vmap: np.ndarray  # basis values at the mapped x
+    gbarn: np.ndarray  # grad(basis) . nbar at x_bar
+    gmapn: np.ndarray  # grad(basis) . n at the mapped x
+
+
+def _boundary_traces(domain: SurrogateDomain) -> BoundaryTraces:
+    elem = build_reference_element(domain.order)
+    records = domain.records
+    counts = [rec.w.size for rec in records]
+    bounds = np.cumsum([0] + counts).tolist()
+    rows = {rec.edge: slice(lo, hi) for rec, lo, hi in zip(records, bounds, bounds[1:])}
+    owner = np.repeat([rec.elem for rec in records], counts)
+    binv = domain.mesh.affine_b_inv[owner]
+    nbar = np.repeat([rec.nbar for rec in records], counts, axis=0)
+    n = np.concatenate([rec.n for rec in records])
+    rs_bar = np.concatenate([rec.rs_bar for rec in records])
+    rs_map = np.concatenate([rec.rs_map for rec in records])
+
+    def normal_derivative(rs, normal):
+        gr, gs = elem.eval_basis_grad(rs[:, 0], rs[:, 1])
+        gx = gr * binv[:, 0, 0:1] + gs * binv[:, 1, 0:1]
+        gy = gr * binv[:, 0, 1:2] + gs * binv[:, 1, 1:2]
+        return gx * normal[:, 0:1] + gy * normal[:, 1:2]
+
+    return BoundaryTraces(
+        rows=rows,
+        owner=owner,
+        vbar=elem.eval_basis(rs_bar[:, 0], rs_bar[:, 1]),
+        vmap=elem.eval_basis(rs_map[:, 0], rs_map[:, 1]),
+        gbarn=normal_derivative(rs_bar, nbar),
+        gmapn=normal_derivative(rs_map, n),
+    )
+
+
+@dataclass(frozen=True)
 class SurrogateDomain:
     mesh: TriMesh
     geometry: ImplicitGeometry | None
@@ -69,6 +116,12 @@ class SurrogateDomain:
     @property
     def n_active(self) -> int:
         return self.active.size
+
+    @cached_property
+    def traces(self) -> BoundaryTraces:
+        """Basis traces of all records, evaluated on first use and kept for
+        the life of the domain (the records must not change after that)."""
+        return _boundary_traces(self)
 
     def h_stats(self) -> tuple[float, float, float]:
         h = self.mesh.h_elem[self.active]
@@ -121,7 +174,7 @@ def _check_connected(mesh: TriMesh, active: np.ndarray) -> None:
         )
 
 
-def _surrogate_edges(mesh: TriMesh, keep_elem: np.ndarray, active_mask: np.ndarray):
+def _surrogate_edges(mesh: TriMesh, keep_elem: np.ndarray):
     """Edges of kept elements facing a non-kept element or the mesh hull.
     Yields (edge index, owning element)."""
     out = []
@@ -133,7 +186,6 @@ def _surrogate_edges(mesh: TriMesh, keep_elem: np.ndarray, active_mask: np.ndarr
             out.append((k, e0))
         elif k1 and not k0:
             out.append((k, e1))
-    del active_mask
     return out
 
 
@@ -245,7 +297,7 @@ def build_surrogate(
     fractions = 0.5 * (gq + 1.0)
 
     records = []
-    for edge, owner in _surrogate_edges(mesh, keep, keep):
+    for edge, owner in _surrogate_edges(mesh, keep):
         a, b, length, nbar = _edge_frame(mesh, edge, owner)
         xbar = a + fractions[:, None] * (b - a)
         w = 0.5 * length * gw

@@ -98,32 +98,16 @@ def residual_l1(system, u_vec) -> float:
     return float(np.abs(system.matrix @ u_vec - system.rhs).sum())
 
 
-def _record_normal_derivative(domain, system, u_vec):
-    """Per-edge arrays of grad(u_h) . n at the mapped points, taken from the
-    owning element's polynomial."""
-    mesh = domain.mesh
-    elem = build_reference_element(domain.order)
-    row_of = {n: i for i, n in enumerate(domain.active)}
-    out = {}
-    for rec in domain.records:
-        binv = mesh.affine_b_inv[rec.elem]
-        gr, gs = elem.eval_basis_grad(rec.rs_map[:, 0], rec.rs_map[:, 1])
-        gx = gr * binv[0, 0] + gs * binv[1, 0]
-        gy = gr * binv[0, 1] + gs * binv[1, 1]
-        local = u_vec[system.loc2glob[row_of[rec.elem]]]
-        out[rec.edge] = (gx @ local) * rec.n[:, 0] + (gy @ local) * rec.n[:, 1]
-    return out
-
-
-def _record_trace(domain, system, u_vec):
-    """Per-edge arrays of u_h at the mapped points."""
-    elem = build_reference_element(domain.order)
-    row_of = {n: i for i, n in enumerate(domain.active)}
-    out = {}
-    for rec in domain.records:
-        v = elem.eval_basis(rec.rs_map[:, 0], rec.rs_map[:, 1])
-        out[rec.edge] = v @ u_vec[system.loc2glob[row_of[rec.elem]]]
-    return out
+def _mapped_values(domain, system, u_vec, table):
+    """Per-edge arrays of u_h's trace at the mapped points, taken from the
+    owning element's polynomial: its values for `table` = the domain's
+    `traces.vmap`, grad(u_h) . n for `traces.gmapn`."""
+    traces = domain.traces
+    row_of = np.empty(domain.mesh.n_elements, dtype=np.int64)
+    row_of[domain.active] = np.arange(domain.n_active)
+    local = u_vec[system.loc2glob[row_of[traces.owner]]]
+    vals = np.einsum("qk,qk->q", table, local)
+    return {edge: vals[rows] for edge, rows in traces.rows.items()}
 
 
 def ap_cascade(
@@ -157,7 +141,7 @@ def ap_cascade(
             if m == 0:
                 data = u_data
             elif m == 1:
-                dn0 = _record_normal_derivative(domain, base, modes[0])
+                dn0 = _mapped_values(domain, base, modes[0], domain.traces.gmapn)
                 qs = {
                     rec.edge: np.asarray(q_data(rec.x), dtype=float)
                     if callable(q_data)
@@ -166,7 +150,7 @@ def ap_cascade(
                 }
                 data = {e: qs[e] - dn0[e] for e in dn0}
             else:
-                dn1 = _record_normal_derivative(domain, base, modes[1])
+                dn1 = _mapped_values(domain, base, modes[1], domain.traces.gmapn)
                 data = {e: -dn1[e] for e in dn1}
             problem = BoundaryProblem(
                 conditions=[DirichletBC(data, form="aubin")],
@@ -178,7 +162,7 @@ def ap_cascade(
             if m == 0:
                 data = q_data
             elif m == 1:
-                tr0 = _record_trace(domain, base, modes[0])
+                tr0 = _mapped_values(domain, base, modes[0], domain.traces.vmap)
                 us = {
                     rec.edge: np.asarray(u_data(rec.x), dtype=float)
                     if callable(u_data)
@@ -187,7 +171,7 @@ def ap_cascade(
                 }
                 data = {e: us[e] - tr0[e] for e in tr0}
             else:
-                tr1 = _record_trace(domain, base, modes[1])
+                tr1 = _mapped_values(domain, base, modes[1], domain.traces.vmap)
                 data = {e: -tr1[e] for e in tr1}
             problem = BoundaryProblem(
                 conditions=[NeumannBC(data, form="standard")],

@@ -37,17 +37,16 @@ def _jacobi_norm_log(n: int, alpha: float, beta: float) -> float:
     )
 
 
-def jacobi_p(x: np.ndarray, alpha: float, beta: float, n: int) -> np.ndarray:
-    """Orthonormal Jacobi polynomial of degree n on [-1, 1]."""
+def jacobi_p_all(x: np.ndarray, alpha: float, beta: float, n: int) -> np.ndarray:
+    """Orthonormal Jacobi polynomials of degrees 0..n on [-1, 1], from one
+    three-term recurrence; row k of the (n + 1, *x.shape) result is degree k."""
     x = np.asarray(x, dtype=float)
-    # three-term recurrence on the orthonormal family
-    p0 = np.full_like(x, np.exp(-0.5 * _jacobi_norm_log(0, alpha, beta)))
+    p = np.empty((n + 1,) + x.shape)
+    p[0] = np.exp(-0.5 * _jacobi_norm_log(0, alpha, beta))
     if n == 0:
-        return p0
+        return p
     f1 = 0.5 * np.sqrt((alpha + beta + 3) / ((alpha + 1) * (beta + 1)))
-    p1 = p0 * f1 * ((alpha + beta + 2) * x + alpha - beta)
-    if n == 1:
-        return p1
+    p[1] = p[0] * f1 * ((alpha + beta + 2) * x + alpha - beta)
     aold = (
         2.0 / (2 + alpha + beta)
         * np.sqrt((alpha + 1) * (beta + 1) / (alpha + beta + 3))
@@ -65,17 +64,31 @@ def jacobi_p(x: np.ndarray, alpha: float, beta: float, n: int) -> np.ndarray:
             )
         )
         bnew = -(alpha * alpha - beta * beta) / (h1 * (h1 + 2))
-        pnew = ((x - bnew) * p1 - aold * p0) / anew
-        p0, p1 = p1, pnew
+        p[i + 1] = ((x - bnew) * p[i] - aold * p[i - 1]) / anew
         aold = anew
-    return p1
+    return p
+
+
+def jacobi_p(x: np.ndarray, alpha: float, beta: float, n: int) -> np.ndarray:
+    """Orthonormal Jacobi polynomial of degree n on [-1, 1]."""
+    return jacobi_p_all(x, alpha, beta, n)[n]
+
+
+def grad_jacobi_p_all(x: np.ndarray, alpha: float, beta: float, n: int) -> np.ndarray:
+    """Derivatives of `jacobi_p_all(x, alpha, beta, n)`, row k degree k, from
+    one recurrence on the (alpha + 1, beta + 1) family."""
+    x = np.asarray(x, dtype=float)
+    d = np.zeros((n + 1,) + x.shape)
+    if n > 0:
+        k = np.arange(1, n + 1).reshape((-1,) + (1,) * x.ndim)
+        d[1:] = np.sqrt(k * (k + alpha + beta + 1)) * jacobi_p_all(
+            x, alpha + 1, beta + 1, n - 1
+        )
+    return d
 
 
 def grad_jacobi_p(x: np.ndarray, alpha: float, beta: float, n: int) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if n == 0:
-        return np.zeros_like(x)
-    return np.sqrt(n * (n + alpha + beta + 1)) * jacobi_p(x, alpha + 1, beta + 1, n - 1)
+    return grad_jacobi_p_all(x, alpha, beta, n)[n]
 
 
 def gauss_lobatto_1d(n_points: int) -> np.ndarray:
@@ -89,8 +102,7 @@ def gauss_lobatto_1d(n_points: int) -> np.ndarray:
 
 
 def vandermonde_1d(order: int, points: np.ndarray) -> np.ndarray:
-    points = np.asarray(points, dtype=float)
-    return np.column_stack([jacobi_p(points, 0.0, 0.0, j) for j in range(order + 1)])
+    return jacobi_p_all(points, 0.0, 0.0, order).T.copy()
 
 
 def _rs_to_ab(r: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -99,18 +111,15 @@ def _rs_to_ab(r: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a, s.copy()
 
 
-def simplex_2d(a: np.ndarray, b: np.ndarray, i: int, j: int) -> np.ndarray:
-    h1 = jacobi_p(a, 0.0, 0.0, i)
-    h2 = jacobi_p(b, 2.0 * i + 1.0, 0.0, j)
-    return np.sqrt(2.0) * h1 * h2 * (1.0 - b) ** i
+# Mode (i, j) is sqrt(2) P_i(a) P_j^(2i+1,0)(b) (1-b)^i. The _mode helpers
+# take the a-factor of degree i and b-factors that may stack several j along
+# axis 0, so modal_basis* evaluate every j of one i from one table.
+
+def _simplex_mode(b, i, fa, gb):
+    return np.sqrt(2.0) * fa * gb * (1.0 - b) ** i
 
 
-def grad_simplex_2d(a, b, i, j):
-    fa = jacobi_p(a, 0.0, 0.0, i)
-    dfa = grad_jacobi_p(a, 0.0, 0.0, i)
-    gb = jacobi_p(b, 2.0 * i + 1.0, 0.0, j)
-    dgb = grad_jacobi_p(b, 2.0 * i + 1.0, 0.0, j)
-
+def _grad_simplex_mode(a, b, i, fa, dfa, gb, dgb):
     dmodedr = dfa * gb
     if i > 0:
         dmodedr = dmodedr * ((0.5 * (1.0 - b)) ** (i - 1))
@@ -126,36 +135,74 @@ def grad_simplex_2d(a, b, i, j):
     return norm * dmodedr, norm * dmodeds
 
 
+def simplex_2d(a: np.ndarray, b: np.ndarray, i: int, j: int) -> np.ndarray:
+    """Mode (i, j) at collapsed coordinates (a, b)."""
+    return _simplex_mode(
+        b, i, jacobi_p(a, 0.0, 0.0, i), jacobi_p(b, 2.0 * i + 1.0, 0.0, j)
+    )
+
+
+def grad_simplex_2d(a, b, i, j):
+    """(d/dr, d/ds) of mode (i, j) at collapsed coordinates (a, b)."""
+    return _grad_simplex_mode(
+        a,
+        b,
+        i,
+        jacobi_p(a, 0.0, 0.0, i),
+        grad_jacobi_p(a, 0.0, 0.0, i),
+        jacobi_p(b, 2.0 * i + 1.0, 0.0, j),
+        grad_jacobi_p(b, 2.0 * i + 1.0, 0.0, j),
+    )
+
+
 def modal_basis(order: int, r: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Orthonormal modal basis evaluated at (r, s); columns ordered (i, j)."""
+    """Orthonormal modal basis evaluated at (r, s); columns ordered (i, j).
+
+    One Jacobi table in a, and one in b per i, give every mode; the values
+    equal `simplex_2d` column by column, bit for bit."""
     r = np.atleast_1d(np.asarray(r, dtype=float))
     s = np.atleast_1d(np.asarray(s, dtype=float))
     a, b = _rs_to_ab(r, s)
-    cols = []
-    for i in range(order + 1):
-        for j in range(order - i + 1):
-            cols.append(simplex_2d(a, b, i, j))
-    return np.column_stack(cols)
+    pa = jacobi_p_all(a, 0.0, 0.0, order)
+    modes = [
+        _simplex_mode(b, i, pa[i], jacobi_p_all(b, 2.0 * i + 1.0, 0.0, order - i))
+        for i in range(order + 1)
+    ]
+    # Row-major, like a column stack: a matrix product with a transposed
+    # layout can round differently, and callers rely on exact values.
+    return np.concatenate(modes).T.copy()
 
 
 def modal_basis_grad(order: int, r: np.ndarray, s: np.ndarray):
+    """(d/dr, d/ds) of `modal_basis`, from the same tables plus their
+    derivative tables; equal to `grad_simplex_2d` column by column."""
     r = np.atleast_1d(np.asarray(r, dtype=float))
     s = np.atleast_1d(np.asarray(s, dtype=float))
     a, b = _rs_to_ab(r, s)
-    cols_r, cols_s = [], []
+    pa = jacobi_p_all(a, 0.0, 0.0, order)
+    dpa = grad_jacobi_p_all(a, 0.0, 0.0, order)
+    modes_r, modes_s = [], []
     for i in range(order + 1):
-        for j in range(order - i + 1):
-            dr, ds = grad_simplex_2d(a, b, i, j)
-            cols_r.append(dr)
-            cols_s.append(ds)
-    return np.column_stack(cols_r), np.column_stack(cols_s)
+        alpha = 2.0 * i + 1.0
+        dr, ds = _grad_simplex_mode(
+            a,
+            b,
+            i,
+            pa[i],
+            dpa[i],
+            jacobi_p_all(b, alpha, 0.0, order - i),
+            grad_jacobi_p_all(b, alpha, 0.0, order - i),
+        )
+        modes_r.append(dr)
+        modes_s.append(ds)
+    return np.concatenate(modes_r).T.copy(), np.concatenate(modes_s).T.copy()
 
 
 def _warp_factor(order: int, rout: np.ndarray) -> np.ndarray:
     lgl = gauss_lobatto_1d(order + 1)
     req = np.linspace(-1.0, 1.0, order + 1)
     veq = vandermonde_1d(order, req)
-    pmat = np.column_stack([jacobi_p(rout, 0.0, 0.0, i) for i in range(order + 1)])
+    pmat = vandermonde_1d(order, rout)
     lmat = np.linalg.solve(veq.T, pmat.T)
     warp = lmat.T @ (lgl - req)
     zerof = (np.abs(rout) < 1.0 - 1e-10).astype(float)
@@ -267,6 +314,7 @@ def build_reference_element(order: int) -> ReferenceElement:
     d_r = vr @ v_inv
     d_s = vs @ v_inv
     cr, cs, cw = triangle_cubature(2 * order + 1)
+    cub_vr, cub_vs = modal_basis_grad(order, cr, cs)
     eq, ew = np.polynomial.legendre.leggauss(order + 2)
     elem = ReferenceElement(
         order=order,
@@ -282,8 +330,8 @@ def build_reference_element(order: int) -> ReferenceElement:
         edge_q=eq,
         edge_w=ew,
         cub_basis=modal_basis(order, cr, cs) @ v_inv,
-        cub_dr=(modal_basis_grad(order, cr, cs)[0]) @ v_inv,
-        cub_ds=(modal_basis_grad(order, cr, cs)[1]) @ v_inv,
+        cub_dr=cub_vr @ v_inv,
+        cub_ds=cub_vs @ v_inv,
     )
     return elem
 

@@ -15,8 +15,8 @@ SINGULAR_KAPPA = np.inf
 @dataclass(frozen=True)
 class SolveReport:
     u: np.ndarray
-    cond: float
-    cond_method: str
+    cond: float  # nan when not computed
+    cond_method: str  # "svd", "one_norm_estimate", or "none" when not computed
     factorization: str
     residual_inf: float
     ill_conditioned: bool
@@ -65,13 +65,17 @@ def solve_direct(system, compute_cond: bool = True) -> SolveReport:
         raise RuntimeError(f"singular system matrix: {exc}") from exc
     u = lu.solve(b)
     residual = float(np.abs(a @ u - b).max())
-    cond = condition_number(a) if compute_cond else float("nan")
+    if compute_cond:
+        cond = condition_number(a)
+        cond_method = "svd" if a.shape[0] <= SVD_LIMIT else "one_norm_estimate"
+    else:
+        cond, cond_method = float("nan"), "none"
     scale = float(np.abs(a.data).max() * max(np.abs(u).max(), 1.0)
                   + np.abs(b).max())
     return SolveReport(
         u=u,
         cond=cond,
-        cond_method="svd" if a.shape[0] <= SVD_LIMIT else "one_norm_estimate",
+        cond_method=cond_method,
         factorization="splu",
         residual_inf=residual,
         ill_conditioned=residual > 1e-8 * scale,

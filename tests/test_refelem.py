@@ -6,12 +6,15 @@ import pytest
 from sembed.refelem import (
     MAX_ORDER,
     build_reference_element,
+    _rs_to_ab,
     gauss_lobatto_1d,
     grad_jacobi_p,
+    grad_simplex_2d,
     jacobi_p,
     lebesgue_constant,
     modal_basis,
     modal_basis_grad,
+    simplex_2d,
     triangle_cubature,
     vandermonde_1d,
     vandermonde_shift_study_1d,
@@ -131,6 +134,29 @@ def test_modal_gradient_consistency():
         fd_s = (modal_basis(order, r, s + h) - modal_basis(order, r, s - h)) / (2 * h)
         assert np.allclose(vr, fd_r, atol=1e-6)
         assert np.allclose(vs, fd_s, atol=1e-6)
+
+
+@pytest.mark.parametrize("order", range(1, MAX_ORDER + 1))
+def test_modal_basis_bitwise_matches_per_mode_reference(order):
+    # The shared Jacobi tables must give exactly the bits of one recurrence
+    # per mode, inside and outside the reference triangle (the collapsed
+    # vertex s = 1 included), so the Lebesgue table stays exact.
+    rng = np.random.default_rng(order)
+    inside = rng.dirichlet(np.ones(3), size=40) @ np.array(
+        [[-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0]]
+    )
+    outside = rng.uniform(-3.0, 2.0, size=(40, 2))
+    r, s = np.concatenate([inside, outside, [[-1.0, 1.0]]]).T
+    a, b = _rs_to_ab(r, s)
+    modes = [(i, j) for i in range(order + 1) for j in range(order - i + 1)]
+    grads = [grad_simplex_2d(a, b, i, j) for i, j in modes]
+    assert np.array_equal(
+        modal_basis(order, r, s),
+        np.column_stack([simplex_2d(a, b, i, j) for i, j in modes]),
+    )
+    vr, vs = modal_basis_grad(order, r, s)
+    assert np.array_equal(vr, np.column_stack([g[0] for g in grads]))
+    assert np.array_equal(vs, np.column_stack([g[1] for g in grads]))
 
 
 def test_eval_basis_interpolates():

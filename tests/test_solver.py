@@ -42,6 +42,13 @@ def test_method_auto_switch():
     assert report.cond_method == "svd"
 
 
+def test_cond_method_none_when_not_computed():
+    system, _ = small_system()
+    report = solve_direct(system, compute_cond=False)
+    assert report.cond_method == "none"
+    assert np.isnan(report.cond)
+
+
 def test_solve_residual_small():
     system, mms = small_system()
     report = solve_direct(system)
