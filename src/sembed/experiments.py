@@ -4,7 +4,9 @@ Each experiment runs a family of solves on bundled fixtures (an embedded
 circle of radius 0.375, or a square-with-hole geometry) and emits one row
 per (mesh, order, method, form) cell. Row order is canonical (sorted by the
 loop nesting below), independent of any scheduling, and re-running a spec
-with the same seed reproduces the CSV bytes; timestamps live only in the
+with the same seed reproduces the CSV bytes in every column but
+`wall_time`: the measured seconds of each solve in the convergence and
+conditioning kinds, 0.0 in the other kinds. Timestamps live only in the
 JSON metadata.
 """
 
@@ -13,7 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, replace
 
 import numpy as np
 
@@ -40,20 +42,6 @@ from .refelem import (
 from .solve import solve_direct
 
 SCHEMA_VERSION = 1
-
-KINDS = (
-    "h_convergence",
-    "p_convergence",
-    "conditioning",
-    "aligned_verification",
-    "random_embedding_assessment",
-    "robin_consistency_delta",
-    "robin_limits",
-    "mixed_dirichlet_neumann",
-    "ap_cascade",
-    "lebesgue_table",
-    "vandermonde_1d",
-)
 
 # method -> (active-set mode, mapping kind, mesh radius offset in units of l_c)
 METHODS = {
@@ -88,6 +76,17 @@ CSV_COLUMNS = (
     "extra",
     "wall_time",
 )
+# counts stay int so the CSV reads 0, not 0.0; unset measurements are NaN
+_ROW_DEFAULTS = {
+    **dict.fromkeys(CSV_COLUMNS, np.nan),
+    "n_elm": 0, "n_dof": 0, "extra": "", "wall_time": 0.0,
+}
+
+
+def _row(spec, **fields):
+    """One CSV row of `spec`'s kind; columns not in `fields` take their
+    defaults."""
+    return {**_ROW_DEFAULTS, "kind": spec.kind, **fields}
 
 
 @dataclass(frozen=True)
@@ -143,62 +142,58 @@ class ExperimentSpec:
         )
 
 
+def _surrogate(method, mesh, geometry, order):
+    """The surrogate domain `method` builds on `mesh`."""
+    if method == "cbm":
+        return conformal_surrogate(mesh, geometry, order)
+    return build_surrogate(mesh, geometry, *METHODS[method][:2], order)
+
+
 def disk_fixture(method, lc, order, radius=FIXTURE_RADIUS, center=FIXTURE_CENTER):
     """Aligned circle fixture: a structured disk mesh sized per method."""
-    geometry = Circle(center, radius)
-    if method == "cbm":
-        mesh = generate_structured_disk(lc, radius, center)
-        return conformal_surrogate(mesh, geometry, order)
-    mode, mapping, offset = METHODS[method]
+    offset = 0.0 if method == "cbm" else METHODS[method][2]
     mesh = generate_structured_disk(lc, radius + offset * lc, center)
-    return build_surrogate(mesh, geometry, mode, mapping, order)
+    return _surrogate(method, mesh, Circle(center, radius), order)
 
 
-def _make_problem(spec, mms, geometry, form):
+def _make_problem(mms, geometry, bc, form, eps=1.0, gamma=None,
+                  gamma_scaling="avg"):
+    """One `bc` condition with the manufactured data; the Neumann problem
+    carries a unit reaction term so it is well posed."""
     q = mms.normal_derivative(geometry)
-    if spec.bc == "dirichlet":
+    if bc == "dirichlet":
         cond = DirichletBC(mms.u, form=form)
-        alpha = 0.0
-    elif spec.bc == "neumann":
+    elif bc == "neumann":
         cond = NeumannBC(q, form=form)
-        alpha = 1.0
     else:
-        cond = RobinBC(mms.u, q, eps=spec.eps, form=form)
-        alpha = 0.0
+        cond = RobinBC(mms.u, q, eps=eps, form=form)
+    alpha = 1.0 if bc == "neumann" else 0.0
     return BoundaryProblem(
         conditions=[cond],
         forcing=mms.forcing(alpha),
         alpha=alpha,
-        gamma=spec.gamma,
-        gamma_scaling=spec.gamma_scaling,
+        gamma=gamma,
+        gamma_scaling=gamma_scaling,
     )
 
 
-def _solve_row(spec, mms, geometry, method, form, order, lc, compute_cond):
+def _solve_row(spec, mms, geometry, form, order, lc, compute_cond):
     t0 = time.perf_counter()
-    domain = disk_fixture(method, lc, order)
-    problem = _make_problem(spec, mms, geometry, form)
+    domain = disk_fixture(spec.method, lc, order)
+    problem = _make_problem(mms, geometry, spec.bc, form, spec.eps,
+                            spec.gamma, spec.gamma_scaling)
     system = assemble(domain, problem)
     report = solve_direct(system, compute_cond=compute_cond)
     h_min, h_avg, h_max = domain.h_stats()
     err = l1_error(domain, system, report.u, mms.u)
-    return {
-        "kind": spec.kind,
-        "method": method,
-        "form": form,
-        "order": order,
-        "lc": lc,
-        "n_elm": domain.n_active,
-        "n_dof": system.rhs.size,
-        "h_min": h_min,
-        "h_avg": h_avg,
-        "h_max": h_max,
-        "l1_error": err,
-        "residual_inf": report.residual_inf,
-        "cond": report.cond if compute_cond else np.nan,
-        "extra": "",
-        "wall_time": time.perf_counter() - t0,
-    }
+    return _row(
+        spec, method=spec.method, form=form, order=order, lc=lc,
+        n_elm=domain.n_active, n_dof=system.rhs.size,
+        h_min=h_min, h_avg=h_avg, h_max=h_max, l1_error=err,
+        residual_inf=report.residual_inf,
+        cond=report.cond,
+        wall_time=time.perf_counter() - t0,
+    )
 
 
 def fitted_rate(h_values, errors) -> float:
@@ -211,36 +206,30 @@ def fitted_rate(h_values, errors) -> float:
 
 
 def _h_convergence(spec):
+    """Convergence and conditioning ladders on the aligned disk, one solve
+    per (order, lc) cell. p_convergence runs lc-outer and fits no rates; the
+    other kinds run order-outer and fit rates per order."""
     geometry = Circle(FIXTURE_CENTER, FIXTURE_RADIUS)
     mms = ManufacturedSolution(wavenumber=spec.wavenumber)
     form = spec.resolve_form()
     want_cond = spec.kind == "conditioning"
-    rows = []
+    if spec.kind == "p_convergence":
+        cells = [(p, lc) for lc in spec.lc_ladder for p in spec.p_ladder]
+    else:
+        cells = [(p, lc) for p in spec.p_ladder for lc in spec.lc_ladder]
+    rows = [_solve_row(spec, mms, geometry, form, order, lc, want_cond)
+            for order, lc in cells]
+    if spec.kind == "p_convergence":
+        return rows, {}
     rates = {}
-    for order in spec.p_ladder:
-        cells = [
-            _solve_row(spec, mms, geometry, spec.method, form, order, lc, want_cond)
-            for lc in spec.lc_ladder
-        ]
-        rows.extend(cells)
-        hs = [c["h_avg"] for c in cells]
-        rates[f"l1_rate_P{order}"] = fitted_rate(hs, [c["l1_error"] for c in cells])
+    n_lc = len(spec.lc_ladder)
+    for i, order in enumerate(spec.p_ladder):
+        ladder = rows[i * n_lc:(i + 1) * n_lc]
+        hs = [c["h_avg"] for c in ladder]
+        rates[f"l1_rate_P{order}"] = fitted_rate(hs, [c["l1_error"] for c in ladder])
         if want_cond:
-            rates[f"cond_slope_P{order}"] = fitted_rate(hs, [c["cond"] for c in cells])
+            rates[f"cond_slope_P{order}"] = fitted_rate(hs, [c["cond"] for c in ladder])
     return rows, rates
-
-
-def _p_convergence(spec):
-    geometry = Circle(FIXTURE_CENTER, FIXTURE_RADIUS)
-    mms = ManufacturedSolution(wavenumber=spec.wavenumber)
-    form = spec.resolve_form()
-    rows = []
-    for lc in spec.lc_ladder:
-        for order in spec.p_ladder:
-            rows.append(
-                _solve_row(spec, mms, geometry, spec.method, form, order, lc, False)
-            )
-    return rows, {}
 
 
 def aligned_degeneration(lc=0.2, order=2, bc="dirichlet", form=None):
@@ -251,44 +240,31 @@ def aligned_degeneration(lc=0.2, order=2, bc="dirichlet", form=None):
     conformal counterparts), so every variant must reproduce the conformal
     operator exactly.
     """
-    import dataclasses
-
     geometry = Circle(FIXTURE_CENTER, FIXTURE_RADIUS)
     mesh = generate_structured_disk(lc, FIXTURE_RADIUS, FIXTURE_CENTER)
     mms = ManufacturedSolution(wavenumber=1)
     if form is None:
         form = {"dirichlet": "nitsche_nonsym", "neumann": "standard",
                 "robin": "nitsche_full_condition"}[bc]
-    q = mms.normal_derivative(geometry)
-    if bc == "dirichlet":
-        cond = DirichletBC(mms.u, form=form)
-    elif bc == "neumann":
-        cond = NeumannBC(q, form=form)
-    else:
-        cond = RobinBC(mms.u, q, eps=1.0, form=form)
-    alpha = 1.0 if bc == "neumann" else 0.0
-    problem = BoundaryProblem(
-        conditions=[cond], forcing=mms.forcing(alpha), alpha=alpha
-    )
+    problem = _make_problem(mms, geometry, bc, form)
 
-    reference = assemble(conformal_surrogate(mesh, geometry, order), problem)
+    reference = assemble(_surrogate("cbm", mesh, geometry, order), problem)
     ref = reference.matrix.toarray()
     scale = np.abs(ref).max()
     gaps = {}
-    for method, setup in METHODS.items():
+    for method in METHODS:
         if method == "cbm":
             continue
-        mode, mapping, _ = setup
-        domain = build_surrogate(mesh, geometry, mode, mapping, order)
+        domain = _surrogate(method, mesh, geometry, order)
         degenerate = tuple(
-            dataclasses.replace(
+            replace(
                 rec, x=rec.xbar, d=np.zeros_like(rec.d),
                 n=np.broadcast_to(rec.nbar, rec.n.shape).copy(),
                 rs_map=rec.rs_bar,
             )
             for rec in domain.records
         )
-        domain = dataclasses.replace(domain, records=degenerate)
+        domain = replace(domain, records=degenerate)
         system = assemble(domain, problem)
         gap_a = np.abs(system.matrix.toarray() - ref).max() / scale
         gap_b = np.abs(system.rhs - reference.rhs).max() / max(
@@ -299,19 +275,16 @@ def aligned_degeneration(lc=0.2, order=2, bc="dirichlet", form=None):
 
 
 def _aligned_verification(spec):
+    lc = spec.lc_ladder[0]
     rows = []
     for order in spec.p_ladder:
         for bc in ("dirichlet", "neumann", "robin"):
-            gaps = aligned_degeneration(spec.lc_ladder[0], order, bc)
-            for method, gap in sorted(gaps.items()):
-                rows.append({
-                    "kind": spec.kind, "method": method, "form": bc,
-                    "order": order, "lc": spec.lc_ladder[0],
-                    "n_elm": 0, "n_dof": 0,
-                    "h_min": np.nan, "h_avg": np.nan, "h_max": np.nan,
-                    "l1_error": gap, "residual_inf": np.nan, "cond": np.nan,
-                    "extra": "degeneration_gap", "wall_time": 0.0,
-                })
+            gaps = aligned_degeneration(lc, order, bc)
+            rows += [
+                _row(spec, method=method, form=bc, order=order, lc=lc,
+                     l1_error=gap, extra="degeneration_gap")
+                for method, gap in sorted(gaps.items())
+            ]
     return rows, {}
 
 
@@ -330,51 +303,43 @@ def random_embedding_assessment(
 
     Centers are drawn uniformly so the circle stays inside the square with
     a margin of 2 lc, from a PCG64 generator seeded explicitly, so the
-    assessment reproduces across platforms. Returns per-(method, order)
-    medians and variances of log10 L1 error and log10 cond, plus the raw
-    samples.
+    assessment reproduces across platforms. A circle is accepted when all
+    its (method, order) surrogates build; each is built once and solved.
+    Returns per-(method, order) medians and variances of log10 L1 error and
+    log10 cond, plus the raw samples.
     """
     rng = np.random.default_rng(np.random.PCG64(seed))
     mesh = generate_structured_square(lc, square, square, origin=(0.0, 0.0))
     mms = ManufacturedSolution(wavenumber=wavenumber)
+    problem = BoundaryProblem(
+        conditions=[DirichletBC(mms.u, form="nitsche_nonsym")],
+        forcing=mms.forcing(0.0),
+    )
     lo = radius + 2.0 * lc
     hi = square - radius - 2.0 * lc
 
-    samples = {(m, p): {"log_err": [], "log_cond": []}
-               for m in ("sbm-e", "sbm-ei", "sbm-i") for p in orders}
+    cells = [(m, p) for m in ("sbm-e", "sbm-ei", "sbm-i") for p in orders]
+    samples = {cell: {"log_err": [], "log_cond": []} for cell in cells}
     centers = []
-    accepted = 0
     attempts = 0
-    while accepted < n_circles:
+    while len(centers) < n_circles:
         if attempts > max_resample + n_circles:
             raise RuntimeError("too many degenerate embeddings resampled")
         attempts += 1
         center = rng.uniform(lo, hi, size=2)
         geometry = Circle(tuple(center), radius)
         try:
-            domains = {
-                m: build_surrogate(mesh, geometry, *METHODS[m][:2], 1)
-                for m in ("sbm-e", "sbm-ei", "sbm-i")
-            }
+            domains = [_surrogate(m, mesh, geometry, p) for m, p in cells]
         except ValueError:
             # empty or disconnected active set; resample (logged by caller)
             continue
         centers.append(center)
-        accepted += 1
-        for method in ("sbm-e", "sbm-ei", "sbm-i"):
-            mode, mapping, _ = METHODS[method]
-            for order in orders:
-                domain = build_surrogate(mesh, geometry, mode, mapping, order)
-                problem = BoundaryProblem(
-                    conditions=[DirichletBC(mms.u, form="nitsche_nonsym")],
-                    forcing=mms.forcing(0.0),
-                )
-                system = assemble(domain, problem)
-                report = solve_direct(system)
-                err = l1_error(domain, system, report.u, mms.u)
-                cell = samples[(method, order)]
-                cell["log_err"].append(np.log10(max(err, 1e-300)))
-                cell["log_cond"].append(np.log10(report.cond))
+        for cell, domain in zip(cells, domains):
+            system = assemble(domain, problem)
+            report = solve_direct(system)
+            err = l1_error(domain, system, report.u, mms.u)
+            samples[cell]["log_err"].append(np.log10(max(err, 1e-300)))
+            samples[cell]["log_cond"].append(np.log10(report.cond))
 
     stats = {}
     for (method, order), cell in samples.items():
@@ -390,24 +355,18 @@ def random_embedding_assessment(
 
 
 def _random_embedding(spec):
-    orders = tuple(spec.p_ladder)
     n = 30  # desk-scale default; call the function directly for other sizes
     stats, _, _ = random_embedding_assessment(
-        n_circles=n, seed=spec.seed, orders=orders, wavenumber=spec.wavenumber
+        n_circles=n, seed=spec.seed, orders=spec.p_ladder,
+        wavenumber=spec.wavenumber,
     )
-    rows = []
-    for (method, order) in sorted(stats):
-        s = stats[(method, order)]
-        rows.append({
-            "kind": spec.kind, "method": method, "form": "nitsche_nonsym",
-            "order": order, "lc": 0.15, "n_elm": n, "n_dof": 0,
-            "h_min": np.nan, "h_avg": np.nan, "h_max": np.nan,
-            "l1_error": 10.0 ** s["median_log_err"],
-            "residual_inf": np.nan,
-            "cond": 10.0 ** s["median_log_cond"],
-            "extra": json.dumps(s, sort_keys=True),
-            "wall_time": 0.0,
-        })
+    rows = [
+        _row(spec, method=method, form="nitsche_nonsym", order=order,
+             lc=0.15, n_elm=n, l1_error=10.0 ** s["median_log_err"],
+             cond=10.0 ** s["median_log_cond"],
+             extra=json.dumps(s, sort_keys=True))
+        for (method, order), s in sorted(stats.items())
+    ]
     return rows, {}
 
 
@@ -419,10 +378,10 @@ def embedded_disk_fixture(method, lc, order, radius=FIXTURE_RADIUS,
     oblique to the boundary (1 - nbar.n = O(h)), which is what the
     consistency studies probe.
     """
-    geometry = Circle(center, radius)
+    if method == "cbm":
+        raise ValueError("embedded disk fixture needs a shifted-boundary method")
     mesh = generate_structured_square(lc, 1.0, 1.0, (0.0, 0.0))
-    mode, mapping, _ = METHODS[method]
-    return build_surrogate(mesh, geometry, mode, mapping, order)
+    return _surrogate(method, mesh, Circle(center, radius), order)
 
 
 def robin_delta_study(
@@ -437,6 +396,7 @@ def robin_delta_study(
     q_RN + delta/eps); the combined Robin condition is unchanged, so only
     an inconsistent formulation feels the perturbation.
 
+    Each (lc, order) surrogate is built once and solved in every form.
     Returns the L1 error table errors[form][lc] -> list over orders.
     """
     geometry = Circle(FIXTURE_CENTER, FIXTURE_RADIUS)
@@ -449,23 +409,25 @@ def robin_delta_study(
     def q_pert(x, n=None):
         return q(x, n) + delta / eps
 
-    forms = ("inconsistent", "nitsche_full_condition", "aubin")
-    errors = {f: {} for f in forms}
+    problems = {
+        form: BoundaryProblem(
+            conditions=[RobinBC(u_pert, q_pert, eps=eps, form=form)],
+            forcing=mms.forcing(0.0),
+        )
+        for form in ("inconsistent", "nitsche_full_condition", "aubin")
+    }
+    errors = {form: {lc: [] for lc in lc_ladder} for form in problems}
     h_avg = {}
     for lc in lc_ladder:
-        for form in forms:
-            errs = []
-            for order in orders:
-                domain = embedded_disk_fixture(method, lc, order)
-                problem = BoundaryProblem(
-                    conditions=[RobinBC(u_pert, q_pert, eps=eps, form=form)],
-                    forcing=mms.forcing(0.0),
-                )
+        for order in orders:
+            domain = embedded_disk_fixture(method, lc, order)
+            h_avg[lc] = domain.h_stats()[1]
+            for form, problem in problems.items():
                 system = assemble(domain, problem)
                 report = solve_direct(system, compute_cond=False)
-                errs.append(l1_error(domain, system, report.u, mms.u))
-                h_avg[lc] = domain.h_stats()[1]
-            errors[form][lc] = errs
+                errors[form][lc].append(
+                    l1_error(domain, system, report.u, mms.u)
+                )
     return errors, h_avg
 
 
@@ -474,17 +436,13 @@ def _robin_consistency_delta(spec):
     errors, h_avg = robin_delta_study(
         spec.method, spec.lc_ladder, orders, wavenumber=spec.wavenumber
     )
-    rows = []
-    for form in sorted(errors):
-        for lc in spec.lc_ladder:
-            for order, err in zip(orders, errors[form][lc]):
-                rows.append({
-                    "kind": spec.kind, "method": spec.method, "form": form,
-                    "order": order, "lc": lc, "n_elm": 0, "n_dof": 0,
-                    "h_min": np.nan, "h_avg": h_avg[lc], "h_max": np.nan,
-                    "l1_error": err, "residual_inf": np.nan, "cond": np.nan,
-                    "extra": "delta=1", "wall_time": 0.0,
-                })
+    rows = [
+        _row(spec, method=spec.method, form=form, order=order, lc=lc,
+             h_avg=h_avg[lc], l1_error=err, extra="delta=1")
+        for form in sorted(errors)
+        for lc in spec.lc_ladder
+        for order, err in zip(orders, errors[form][lc])
+    ]
     plateau = [min(errors["inconsistent"][lc]) for lc in spec.lc_ladder]
     hs = [h_avg[lc] for lc in spec.lc_ladder]
     rates = {"inconsistent_plateau_slope": fitted_rate(hs, plateau)}
@@ -535,16 +493,13 @@ def _robin_limits(spec):
     form = spec.resolve_form() if spec.bc == "robin" else "aubin"
     gaps = robin_limit_gaps(spec.method, spec.lc_ladder[0], spec.p_ladder,
                             form, spec.wavenumber)
-    rows = []
-    for order in sorted(gaps):
-        for limit in ("dirichlet", "neumann"):
-            rows.append({
-                "kind": spec.kind, "method": spec.method, "form": form,
-                "order": order, "lc": spec.lc_ladder[0], "n_elm": 0,
-                "n_dof": 0, "h_min": np.nan, "h_avg": np.nan, "h_max": np.nan,
-                "l1_error": gaps[order][limit], "residual_inf": np.nan,
-                "cond": np.nan, "extra": f"limit={limit}", "wall_time": 0.0,
-            })
+    rows = [
+        _row(spec, method=spec.method, form=form, order=order,
+             lc=spec.lc_ladder[0], l1_error=gaps[order][limit],
+             extra=f"limit={limit}")
+        for order in sorted(gaps)
+        for limit in ("dirichlet", "neumann")
+    ]
     return rows, {}
 
 
@@ -613,22 +568,18 @@ def ap_cascade_slopes(
 
 def _ap_cascade(spec):
     order = spec.p_ladder[-1]
-    slopes, residuals = ap_cascade_slopes(
-        spec.method, spec.lc_ladder[0], order, wavenumber=spec.wavenumber,
-        gamma=spec.gamma,
-    )
-    rows = []
     eps_values = (1e-2, 1e-3, 1e-4)
-    for i, eps in enumerate(eps_values):
-        for m in range(3):
-            rows.append({
-                "kind": spec.kind, "method": spec.method, "form": "aubin",
-                "order": order, "lc": spec.lc_ladder[0], "n_elm": 0,
-                "n_dof": 0, "h_min": np.nan, "h_avg": np.nan, "h_max": np.nan,
-                "l1_error": residuals[i, m], "residual_inf": np.nan,
-                "cond": np.nan, "extra": f"eps={eps:g} m={m}",
-                "wall_time": 0.0,
-            })
+    slopes, residuals = ap_cascade_slopes(
+        spec.method, spec.lc_ladder[0], order, eps_values,
+        wavenumber=spec.wavenumber, gamma=spec.gamma,
+    )
+    rows = [
+        _row(spec, method=spec.method, form="aubin", order=order,
+             lc=spec.lc_ladder[0], l1_error=residuals[i, m],
+             extra=f"eps={eps:g} m={m}")
+        for i, eps in enumerate(eps_values)
+        for m in range(3)
+    ]
     rates = {f"ap_slope_m{m}": slopes[m] for m in range(3)}
     return rows, rates
 
@@ -636,15 +587,14 @@ def _ap_cascade(spec):
 def square_with_hole_fixture(method, lc, order, square=2.0,
                              plate=1.5, radius=FIXTURE_RADIUS):
     """Plate-with-hole geometry embedded in a square background mesh."""
+    if method == "cbm":
+        raise ValueError("square-with-hole fixture is embedded only")
     margin = (square - plate) / 2.0
     outer = Rectangle((margin, margin), (margin + plate, margin + plate))
     inner = Circle((square / 2.0, square / 2.0), radius)
     geometry = Difference(outer, inner)
     mesh = generate_structured_square(lc, square, square, origin=(0.0, 0.0))
-    if method == "cbm":
-        raise ValueError("square-with-hole fixture is embedded only")
-    mode, mapping, _ = METHODS[method]
-    return build_surrogate(mesh, geometry, mode, mapping, order), geometry
+    return _surrogate(method, mesh, geometry, order), geometry
 
 
 def mixed_dirichlet_neumann(
@@ -686,15 +636,11 @@ def _mixed(spec):
     errors = mixed_dirichlet_neumann(
         spec.method, spec.lc_ladder[0], spec.p_ladder, form, spec.wavenumber
     )
-    rows = []
-    for order in sorted(errors):
-        rows.append({
-            "kind": spec.kind, "method": spec.method, "form": form,
-            "order": order, "lc": spec.lc_ladder[0], "n_elm": 0, "n_dof": 0,
-            "h_min": np.nan, "h_avg": np.nan, "h_max": np.nan,
-            "l1_error": errors[order], "residual_inf": np.nan,
-            "cond": np.nan, "extra": "", "wall_time": 0.0,
-        })
+    rows = [
+        _row(spec, method=spec.method, form=form, order=order,
+             lc=spec.lc_ladder[0], l1_error=errors[order])
+        for order in sorted(errors)
+    ]
     return rows, {}
 
 
@@ -704,35 +650,27 @@ def _lebesgue_table(spec):
         elem = build_reference_element(order)
         interior = lebesgue_constant(elem, "interior")
         extrap = lebesgue_constant(elem, "extrap_circle")
-        rows.append({
-            "kind": spec.kind, "method": "-", "form": "-", "order": order,
-            "lc": np.nan, "n_elm": 0, "n_dof": elem.n_points,
-            "h_min": np.nan, "h_avg": np.nan, "h_max": np.nan,
-            "l1_error": interior, "residual_inf": np.nan, "cond": extrap,
-            "extra": "interior|extrapolation", "wall_time": 0.0,
-        })
+        rows.append(_row(
+            spec, method="-", form="-", order=order, n_dof=elem.n_points,
+            l1_error=interior, cond=extrap, extra="interior|extrapolation",
+        ))
     return rows, {}
 
 
 def _vandermonde_1d(spec):
-    shifts = np.linspace(0.1, 2.0, 20)
-    rows = []
-    for order in range(1, 10):
-        for shift in shifts:
-            kappa = vandermonde_shift_study_1d(order, shift)
-            rows.append({
-                "kind": spec.kind, "method": "-", "form": "-", "order": order,
-                "lc": np.nan, "n_elm": 0, "n_dof": order + 1,
-                "h_min": np.nan, "h_avg": np.nan, "h_max": np.nan,
-                "l1_error": np.nan, "residual_inf": np.nan, "cond": kappa,
-                "extra": f"shift={shift:.3f}", "wall_time": 0.0,
-            })
+    rows = [
+        _row(spec, method="-", form="-", order=order, n_dof=order + 1,
+             cond=vandermonde_shift_study_1d(order, shift),
+             extra=f"shift={shift:.3f}")
+        for order in range(1, 10)
+        for shift in np.linspace(0.1, 2.0, 20)
+    ]
     return rows, {}
 
 
 _DISPATCH = {
     "h_convergence": _h_convergence,
-    "p_convergence": _p_convergence,
+    "p_convergence": _h_convergence,
     "conditioning": _h_convergence,
     "aligned_verification": _aligned_verification,
     "random_embedding_assessment": _random_embedding,
@@ -743,6 +681,7 @@ _DISPATCH = {
     "lebesgue_table": _lebesgue_table,
     "vandermonde_1d": _vandermonde_1d,
 }
+KINDS = tuple(_DISPATCH)
 
 
 def run(spec: ExperimentSpec):

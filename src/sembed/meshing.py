@@ -155,25 +155,31 @@ class TriMesh:
 
 
 def _lines(stream):
+    # undecodable bytes (a binary MSH body) become U+FFFD, so the parser
+    # reports them instead of the decoder
     if isinstance(stream, os.PathLike):
         stream = os.fspath(stream)
     if isinstance(stream, (str, bytes)):
-        with open(stream) as f:
+        with open(stream, encoding="utf-8", errors="replace") as f:
             return f.read().splitlines()
     if isinstance(stream, io.IOBase):
         data = stream.read()
         if isinstance(data, bytes):
-            data = data.decode()
+            data = data.decode("utf-8", errors="replace")
         return data.splitlines()
     raise TypeError("expected path or stream")
 
 
 def read_gmsh(path_or_stream, lc: float | None = None) -> TriMesh:
-    """Parse an ASCII MSH v2.2 or v4.1 file; keep triangles and drop lines."""
+    """Parse an ASCII MSH v2.2 or v4.1 file; keep triangles and drop lines.
+
+    Any truncated or malformed input raises MeshParseError, naming the line
+    where the fault is known.
+    """
     lines = _lines(path_or_stream)
     if not lines or lines[0].strip() != "$MeshFormat":
         raise MeshParseError("line 1: expected $MeshFormat header")
-    fmt = lines[1].split()
+    fmt = lines[1].split() if len(lines) > 1 else []
     if len(fmt) < 3:
         raise MeshParseError("line 2: malformed format record")
     version, ftype = fmt[0], fmt[1]
@@ -200,83 +206,111 @@ def _section(lines, name):
     return start, end
 
 
-def _read_v2(lines, lc):
-    n0, n1 = _section(lines, "Nodes")
-    try:
-        n_nodes = int(lines[n0 + 1])
-    except ValueError:
-        raise MeshParseError(f"line {n0 + 2}: expected node count") from None
-    coords = {}
-    for i, ln in enumerate(lines[n0 + 2 : n0 + 2 + n_nodes]):
-        parts = ln.split()
-        if len(parts) < 4:
-            raise MeshParseError(f"line {n0 + 3 + i}: malformed node record")
-        coords[int(parts[0])] = (float(parts[1]), float(parts[2]))
+class _Section:
+    """Reads the records of one $Name ... $EndName section in order; every
+    error names the line of the record being read."""
 
-    e0, e1 = _section(lines, "Elements")
-    n_elems = int(lines[e0 + 1])
+    def __init__(self, lines, name):
+        self.lines = lines
+        self.name = name
+        self.pos, self.end = _section(lines, name)
+
+    def error(self, message):
+        return MeshParseError(f"line {self.pos + 1}: {message}")
+
+    def record(self, what, n_min=1, n_max=None):
+        """The tokens of the next line, which must be a `what` of
+        n_min..n_max tokens inside the section."""
+        self.pos += 1
+        if self.pos >= self.end:
+            raise self.error(f"${self.name} section ends before the {what}")
+        parts = self.lines[self.pos].split()
+        if len(parts) < n_min or (n_max is not None and len(parts) > n_max):
+            raise self.error(f"malformed {what}")
+        return parts
+
+    def int(self, token, what, minimum=None):
+        try:
+            value = int(token)
+        except ValueError:
+            raise self.error(f"{what} {token!r} is not an integer") from None
+        if minimum is not None and value < minimum:
+            raise self.error(f"{what} {value} is below {minimum}")
+        return value
+
+    def point(self, tokens):
+        try:
+            x, y = float(tokens[0]), float(tokens[1])
+        except ValueError:
+            raise self.error("coordinate is not a number") from None
+        if not (np.isfinite(x) and np.isfinite(y)):
+            raise self.error("coordinate is not finite")
+        return x, y
+
+    def triangle(self, tokens, coords):
+        tri = [self.int(t, "node tag") for t in tokens]
+        for tag in tri:
+            if tag not in coords:
+                raise self.error(f"triangle refers to unknown node {tag}")
+        return tri
+
+
+def _read_v2(lines, lc):
+    nodes = _Section(lines, "Nodes")
+    n_nodes = nodes.int(nodes.record("node count", 1, 1)[0], "node count", 0)
+    coords = {}
+    for _ in range(n_nodes):
+        parts = nodes.record("node record", 4)
+        coords[nodes.int(parts[0], "node tag")] = nodes.point(parts[1:3])
+
+    elems = _Section(lines, "Elements")
+    n_elems = elems.int(elems.record("element count", 1, 1)[0], "element count", 0)
     tris = []
-    for i, ln in enumerate(lines[e0 + 2 : e0 + 2 + n_elems]):
-        parts = ln.split()
-        if len(parts) < 3:
-            raise MeshParseError(f"line {e0 + 3 + i}: malformed element record")
-        etype = int(parts[1])
-        n_tags = int(parts[2])
+    for _ in range(n_elems):
+        parts = elems.record("element record", 3)
+        etype = elems.int(parts[1], "element type")
+        n_tags = elems.int(parts[2], "tag count", 0)
         conn = parts[3 + n_tags :]
         if etype == 2:
             if len(conn) != 3:
-                raise MeshParseError(
-                    f"line {e0 + 3 + i}: triangle needs 3 nodes"
-                )
-            tris.append([int(c) for c in conn])
-        elif etype in (1, 15):
-            continue  # lines and points are ignored
-        else:
-            raise MeshParseError(
-                f"line {e0 + 3 + i}: unsupported element type {etype}"
-            )
+                raise elems.error("triangle needs 3 nodes")
+            tris.append(elems.triangle(conn, coords))
+        elif etype not in (1, 15):  # lines and points are ignored
+            raise elems.error(f"unsupported element type {etype}")
     return _from_tagged(coords, tris, lc)
 
 
 def _read_v4(lines, lc):
-    n0, n1 = _section(lines, "Nodes")
-    header = lines[n0 + 1].split()
-    n_blocks = int(header[0])
+    nodes = _Section(lines, "Nodes")
+    n_blocks = nodes.int(nodes.record("node section header")[0], "block count", 0)
     coords = {}
-    i = n0 + 2
     for _ in range(n_blocks):
-        blk = lines[i].split()
-        if len(blk) != 4:
-            raise MeshParseError(f"line {i + 1}: malformed node block header")
-        n_in_block = int(blk[3])
-        tags = [int(lines[i + 1 + k]) for k in range(n_in_block)]
-        for k in range(n_in_block):
-            parts = lines[i + 1 + n_in_block + k].split()
-            coords[tags[k]] = (float(parts[0]), float(parts[1]))
-        i += 1 + 2 * n_in_block
+        blk = nodes.record("node block header", 4, 4)
+        n_in_block = nodes.int(blk[3], "block size", 0)
+        tags = [
+            nodes.int(nodes.record("node tag", 1, 1)[0], "node tag")
+            for _ in range(n_in_block)
+        ]
+        for tag in tags:
+            coords[tag] = nodes.point(nodes.record("node coordinates", 2))
 
-    e0, e1 = _section(lines, "Elements")
-    n_blocks = int(lines[e0 + 1].split()[0])
+    elems = _Section(lines, "Elements")
+    n_blocks = elems.int(
+        elems.record("element section header")[0], "block count", 0
+    )
     tris = []
-    i = e0 + 2
     for _ in range(n_blocks):
-        blk = lines[i].split()
-        if len(blk) != 4:
-            raise MeshParseError(f"line {i + 1}: malformed element block header")
-        etype, n_in_block = int(blk[2]), int(blk[3])
-        for k in range(n_in_block):
-            parts = lines[i + 1 + k].split()
+        blk = elems.record("element block header", 4, 4)
+        etype = elems.int(blk[2], "element type")
+        n_in_block = elems.int(blk[3], "block size", 0)
+        for _ in range(n_in_block):
+            parts = elems.record("element record")
             if etype == 2:
                 if len(parts) != 4:
-                    raise MeshParseError(
-                        f"line {i + 2 + k}: triangle needs 3 nodes"
-                    )
-                tris.append([int(p) for p in parts[1:]])
+                    raise elems.error("triangle needs 3 nodes")
+                tris.append(elems.triangle(parts[1:], coords))
             elif etype not in (1, 15):
-                raise MeshParseError(
-                    f"line {i + 2 + k}: unsupported element type {etype}"
-                )
-        i += 1 + n_in_block
+                raise elems.error(f"unsupported element type {etype}")
     return _from_tagged(coords, tris, lc)
 
 
@@ -291,7 +325,10 @@ def _from_tagged(coords, tris, lc):
     used[elements.ravel()] = True
     remap = -np.ones(len(tags), dtype=np.int64)
     remap[used] = np.arange(used.sum())
-    return TriMesh(vertices[used], remap[elements], lc=lc)
+    try:
+        return TriMesh(vertices[used], remap[elements], lc=lc)
+    except ValueError as exc:
+        raise MeshParseError(f"invalid mesh: {exc}") from None
 
 
 def write_gmsh(mesh: TriMesh, path) -> None:

@@ -12,7 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import BoundaryProblem, DirichletBC, NeumannBC, assemble
+from .assembly import (
+    BoundaryProblem, DirichletBC, NeumannBC, _eval_field, assemble,
+)
 from .refelem import build_reference_element
 from .solve import solve_direct
 
@@ -89,10 +91,6 @@ def l1_error(domain, system, u_vec, exact_u) -> float:
     return total
 
 
-def max_nodal_error(system, u_vec, exact_u) -> float:
-    return float(np.abs(u_vec - nodal_interpolant(system, exact_u)).max())
-
-
 def residual_l1(system, u_vec) -> float:
     """The truncation-error measure: sum_i |(A u - b)_i|."""
     return float(np.abs(system.matrix @ u_vec - system.rhs).sum())
@@ -142,13 +140,10 @@ def ap_cascade(
                 data = u_data
             elif m == 1:
                 dn0 = _mapped_values(domain, base, modes[0], domain.traces.gmapn)
-                qs = {
-                    rec.edge: np.asarray(q_data(rec.x), dtype=float)
-                    if callable(q_data)
-                    else np.full(rec.x.shape[0], float(q_data))
+                data = {
+                    rec.edge: _eval_field(q_data, rec, rec.x) - dn0[rec.edge]
                     for rec in domain.records
                 }
-                data = {e: qs[e] - dn0[e] for e in dn0}
             else:
                 dn1 = _mapped_values(domain, base, modes[1], domain.traces.gmapn)
                 data = {e: -dn1[e] for e in dn1}
@@ -163,13 +158,10 @@ def ap_cascade(
                 data = q_data
             elif m == 1:
                 tr0 = _mapped_values(domain, base, modes[0], domain.traces.vmap)
-                us = {
-                    rec.edge: np.asarray(u_data(rec.x), dtype=float)
-                    if callable(u_data)
-                    else np.full(rec.x.shape[0], float(u_data))
+                data = {
+                    rec.edge: _eval_field(u_data, rec, rec.x) - tr0[rec.edge]
                     for rec in domain.records
                 }
-                data = {e: us[e] - tr0[e] for e in tr0}
             else:
                 tr1 = _mapped_values(domain, base, modes[1], domain.traces.vmap)
                 data = {e: -tr1[e] for e in tr1}

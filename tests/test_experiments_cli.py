@@ -6,9 +6,10 @@ import json
 import numpy as np
 import pytest
 
-from sembed import cli
+from sembed import cli, experiments
 from sembed.experiments import (
     CSV_COLUMNS,
+    KINDS,
     ExperimentSpec,
     fitted_rate,
     run,
@@ -122,3 +123,109 @@ def test_cli_reports_invalid_combo(capsys):
                    "--form", "nitsche_nonsym"])
     assert rc == 2
     assert "form" in capsys.readouterr().err.lower()
+
+
+# The cheapest spec that runs each kind's driver end to end.
+CHEAPEST = {
+    "h_convergence": dict(method="cbm", lc_ladder=(0.3,), p_ladder=(1,)),
+    "p_convergence": dict(method="cbm", lc_ladder=(0.3,), p_ladder=(1,)),
+    "conditioning": dict(method="cbm", lc_ladder=(0.3,), p_ladder=(1,)),
+    "aligned_verification": dict(lc_ladder=(0.2,), p_ladder=(1,)),
+    "random_embedding_assessment": dict(p_ladder=(1,)),
+    "robin_consistency_delta": dict(lc_ladder=(0.3,), p_ladder=(1, 2)),
+    "robin_limits": dict(method="cbm", lc_ladder=(0.3,), p_ladder=(1,)),
+    "mixed_dirichlet_neumann": dict(lc_ladder=(0.3,), p_ladder=(1,)),
+    "ap_cascade": dict(lc_ladder=(0.3,), p_ladder=(2,)),
+    "lebesgue_table": {},
+    "vandermonde_1d": {},
+}
+INT_COLUMNS = ("order", "n_elm", "n_dof")
+STR_COLUMNS = ("kind", "method", "form", "extra")
+
+
+def test_kinds_follow_the_dispatch_table():
+    assert KINDS == (
+        "h_convergence", "p_convergence", "conditioning",
+        "aligned_verification", "random_embedding_assessment",
+        "robin_consistency_delta", "robin_limits", "mixed_dirichlet_neumann",
+        "ap_cascade", "lebesgue_table", "vandermonde_1d",
+    )
+    assert set(CHEAPEST) == set(KINDS)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_rows_have_exactly_the_csv_schema(kind, monkeypatch):
+    # the table's values are the acceptance gate's; its rows need only a
+    # float stand-in for the slow P = 1..10 maximum search
+    monkeypatch.setattr(experiments, "lebesgue_constant",
+                        lambda elem, where: 1.0)
+    rows, _ = run(ExperimentSpec(kind=kind, **CHEAPEST[kind]))
+    assert rows
+    for row in rows:
+        assert tuple(row) == CSV_COLUMNS
+        assert row["kind"] == kind
+        for col in CSV_COLUMNS:
+            value = row[col]
+            if col in INT_COLUMNS:
+                assert isinstance(value, (int, np.integer)), (col, value)
+            elif col in STR_COLUMNS:
+                assert isinstance(value, str), (col, value)
+            else:
+                assert isinstance(value, float), (col, value)
+
+
+def test_aggregate_kind_csv_writes_typed_defaults(tmp_path, capsys):
+    out = tmp_path / "limits"
+    rc = cli.main(["--experiment", "robin_limits", "--method", "cbm",
+                   "--lc-ladder", "0.3", "--p-ladder", "1", "--out", str(out)])
+    assert rc == 0
+    with open(out.with_suffix(".csv")) as fh:
+        reader = csv.DictReader(fh)
+        assert tuple(reader.fieldnames) == CSV_COLUMNS
+        got = list(reader)
+    assert [row["extra"] for row in got] == ["limit=dirichlet", "limit=neumann"]
+    for row in got:
+        assert (row["n_elm"], row["n_dof"], row["wall_time"]) == ("0", "0", "0.0")
+        assert row["h_min"] == row["cond"] == "nan"
+        assert float(row["l1_error"]) <= 1e-6
+
+
+def _count_builds(monkeypatch):
+    calls = []
+    real = experiments.build_surrogate
+
+    def counting(mesh, geometry, *args):
+        calls.append((tuple(geometry.center), args))
+        return real(mesh, geometry, *args)
+
+    monkeypatch.setattr(experiments, "build_surrogate", counting)
+    return calls
+
+
+def test_random_embedding_builds_each_surrogate_once(monkeypatch):
+    calls = _count_builds(monkeypatch)
+    _, samples, centers = experiments.random_embedding_assessment(
+        n_circles=2, seed=0, orders=(1, 2)
+    )
+    assert all(len(cell["log_err"]) == 2 for cell in samples.values())
+    for center in centers:
+        mine = [args for c, args in calls if c == tuple(center)]
+        # three methods x two orders, each built once
+        assert len(mine) == 6
+        assert len(set(mine)) == 6
+
+
+def test_robin_delta_study_shares_one_surrogate_per_cell(monkeypatch):
+    calls = _count_builds(monkeypatch)
+    lc_ladder, orders = (0.3, 0.25), (1, 2)
+    errors, _ = experiments.robin_delta_study("sbm-i", lc_ladder, orders)
+    assert len(calls) == len(lc_ladder) * len(orders)
+    assert all(len(errors[form][lc]) == len(orders)
+               for form in errors for lc in lc_ladder)
+
+
+def test_embedded_fixtures_reject_the_conformal_method():
+    with pytest.raises(ValueError, match="shifted-boundary"):
+        experiments.embedded_disk_fixture("cbm", 0.3, 1)
+    with pytest.raises(ValueError, match="embedded only"):
+        experiments.square_with_hole_fixture("cbm", 0.3, 1)

@@ -1,7 +1,13 @@
 """Mesh container, MSH I/O, structured generators."""
 
+import io
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sembed.meshing import (
     MeshParseError,
@@ -152,3 +158,136 @@ def test_dump_json_roundtrips(tmp_path):
     mesh.dump_json(path)
     data = json.loads(path.read_text())
     assert np.allclose(np.array(data["vertices"]), mesh.vertices)
+
+
+def _two_triangles():
+    v = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    return TriMesh(v, np.array([[0, 1, 2], [0, 2, 3]]), lc=1.0)
+
+
+def _v22_text():
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "two.msh")
+        write_gmsh(_two_triangles(), path)
+        with open(path) as fh:
+            return fh.read()
+
+
+# One surface node block, a line block (ignored) and a triangle block.
+V41_TEXT = """$MeshFormat
+4.1 0 8
+$EndMeshFormat
+$Nodes
+1 4 1 4
+2 1 0 4
+1
+2
+3
+4
+0 0 0
+1 0 0
+1 1 0
+0 1 0
+$EndNodes
+$Elements
+2 3 1 3
+1 1 1 1
+1 1 2
+2 1 2 2
+2 1 2 3
+3 1 3 4
+$EndElements
+"""
+
+MSH_TEXTS = {"v2.2": _v22_text(), "v4.1": V41_TEXT}
+
+
+def _parses_or_rejects(text):
+    try:
+        mesh = read_gmsh(io.StringIO(text))
+    except MeshParseError:
+        return
+    assert isinstance(mesh, TriMesh)
+
+
+def test_msh_fixture_texts_parse():
+    for text in MSH_TEXTS.values():
+        assert read_gmsh(io.StringIO(text)).n_elements == 2
+
+
+@pytest.mark.parametrize("version", sorted(MSH_TEXTS))
+def test_msh_every_prefix_parses_or_raises_parse_error(version):
+    text = MSH_TEXTS[version]
+    for n in range(len(text) + 1):
+        _parses_or_rejects(text[:n])
+    # every proper line prefix lacks $EndElements
+    lines = text.splitlines(keepends=True)
+    for n in range(len(lines)):
+        with pytest.raises(MeshParseError):
+            read_gmsh(io.StringIO("".join(lines[:n])))
+
+
+def test_msh_truncated_header_raises_parse_error():
+    with pytest.raises(MeshParseError, match="line 2"):
+        read_gmsh(io.StringIO("$MeshFormat"))
+
+
+def test_msh_binary_file_raises_parse_error(tmp_path):
+    path = tmp_path / "binary.msh"
+    path.write_bytes(b"$MeshFormat\n2.2 1 8\n$EndMeshFormat\n\xff\xfe\x00\x01")
+    with pytest.raises(MeshParseError, match="binary"):
+        read_gmsh(path)
+    with pytest.raises(MeshParseError, match="binary"):
+        read_gmsh(io.BytesIO(path.read_bytes()))
+
+
+@pytest.mark.parametrize("text, line", [
+    ("$Nodes\n1\n1 0 0 0\n$EndNodes\n$Elements\nx\n$EndElements\n", 9),
+    ("$Nodes\n3\n1 0 0 0\n2 1 0 0\n3 0 1 0\n$EndNodes\n"
+     "$Elements\n1\n1 2 0 1 2 7\n$EndElements\n", 12),
+    ("$Nodes\n2\n1 0 0 0\n$EndNodes\n$Elements\n0\n$EndElements\n", 7),
+    ("$Nodes\n1\n1 nan 0 0\n$EndNodes\n$Elements\n0\n$EndElements\n", 6),
+])
+def test_msh_v2_faults_name_their_line(text, line):
+    with pytest.raises(MeshParseError, match=f"^line {line}:"):
+        read_gmsh(io.StringIO("$MeshFormat\n2.2 0 8\n$EndMeshFormat\n" + text))
+
+
+def _tokens(text):
+    """(line index, token index) of every whitespace-separated token."""
+    return [(i, k) for i, ln in enumerate(text.splitlines())
+            for k in range(len(ln.split()))]
+
+
+def _corrupt(text, position, token):
+    i, k = position
+    lines = text.splitlines()
+    parts = lines[i].split()
+    parts[k] = token
+    lines[i] = " ".join(parts)
+    return "\n".join(lines) + "\n"
+
+
+# empty, signs, counts too small and too large, floats where integers
+# belong, non-finite values, words and misplaced section markers
+BAD_TOKENS = ("", "0", "-1", "1", "2", "3", "4", "5", "99999999", "1.5",
+              "nan", "inf", "1e308", "x", "$EndNodes", "$EndElements",
+              "$Nodes", "2.2", "4.1")
+
+
+@pytest.mark.parametrize("version", sorted(MSH_TEXTS))
+def test_msh_every_token_corruption_parses_or_raises_parse_error(version):
+    text = MSH_TEXTS[version]
+    for position in _tokens(text):
+        for token in BAD_TOKENS:
+            _parses_or_rejects(_corrupt(text, position, token))
+
+
+@settings(max_examples=200, deadline=None)
+@given(version=st.sampled_from(sorted(MSH_TEXTS)), data=st.data(),
+       token=st.text(max_size=6))
+def test_msh_any_text_token_parses_or_raises_parse_error(version, data, token):
+    text = MSH_TEXTS[version]
+    positions = _tokens(text)
+    position = positions[data.draw(st.integers(0, len(positions) - 1))]
+    _parses_or_rejects(_corrupt(text, position, token))
