@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .embedding import SurrogateDomain
-from .refelem import build_reference_element
+from .refelem import barycentric, build_reference_element
 
 DIRICHLET_FORMS = ("nitsche_nonsym", "nitsche_sym", "aubin")
 NEUMANN_FORMS = ("standard", "with_symmetric_penalty")
@@ -114,36 +114,27 @@ class AssembledSystem:
 
 
 def build_dof_map(domain: SurrogateDomain):
-    """C0 global numbering: element-local nodes merged by geometric hash."""
-    mesh = domain.mesh
-    elem = build_reference_element(domain.order)
-    rs = np.column_stack([elem.r, elem.s])
-    tol = max(1e-10 * mesh.h_min, 1e-14)
-    inv_cell = 1.0 / tol
+    """C0 global numbering from mesh topology.
 
-    table: dict[tuple[int, int], int] = {}
-    coords: list[np.ndarray] = []
-    loc2glob = np.empty((domain.n_active, elem.n_points), dtype=np.int64)
-    for row, n in enumerate(domain.active):
-        pts = mesh.to_physical(n, rs)
-        for k, p in enumerate(pts):
-            ci = int(np.floor(p[0] * inv_cell))
-            cj = int(np.floor(p[1] * inv_cell))
-            found = -1
-            for di in (-1, 0, 1):
-                for dj in (-1, 0, 1):
-                    g = table.get((ci + di, cj + dj))
-                    if g is not None and np.linalg.norm(coords[g] - p) <= tol:
-                        found = g
-                        break
-                if found >= 0:
-                    break
-            if found < 0:
-                found = len(coords)
-                coords.append(p)
-                table[(ci, cj)] = found
-            loc2glob[row, k] = found
-    return loc2glob, np.array(coords)
+    An element-local node is keyed by the (vertex id, lattice weight) pairs
+    of its element's vertices with nonzero weight, sorted by vertex id, so
+    elements sharing a vertex or an edge share the nodes on it. DOFs are
+    numbered in order of first appearance (active elements in order, nodes
+    in node order) and placed at their first appearance's point.
+    """
+    elem = build_reference_element(domain.order)
+    verts = domain.mesh.elements[domain.active][:, None, :]
+    weights = elem.lattice
+    # one integer per pair, ordered as the vertex ids; 0 for a zero weight
+    pairs = np.where(weights > 0, (verts + 1) * (domain.order + 1) + weights, 0)
+    keys = np.sort(pairs, axis=2).reshape(-1, 3)
+    _, first, inverse = np.unique(
+        keys, axis=0, return_index=True, return_inverse=True
+    )
+    appearance = np.argsort(first)  # key indices in first-appearance order
+    loc2glob = np.argsort(appearance)[inverse.ravel()].reshape(pairs.shape[:2])
+    points = domain.mesh.to_physical(domain.active, np.column_stack([elem.r, elem.s]))
+    return loc2glob, points.reshape(-1, 2)[first[appearance]]
 
 
 def _eval_field(data, rec, points):
@@ -174,30 +165,17 @@ def _eval_flux(data, rec, takes_normal):
     return _eval_field(data, rec, rec.x)
 
 
-def _barycentric(rs):
-    return np.stack(
-        [
-            -(rs[:, 0] + rs[:, 1]) / 2.0,
-            (1.0 + rs[:, 0]) / 2.0,
-            (1.0 + rs[:, 1]) / 2.0,
-        ],
-        axis=1,
-    )
-
-
 class _Accumulator:
     def __init__(self):
         self.rows, self.cols, self.vals = [], [], []
 
-    def add(self, gdofs, block):
-        r, c = np.meshgrid(gdofs, gdofs, indexing="ij")
-        self.rows.append(r.ravel())
-        self.cols.append(c.ravel())
-        self.vals.append(block.ravel())
+    def add(self, gdofs, blocks):
+        """Scatter a batch: blocks[e] couples the global DOFs gdofs[e]."""
+        self.rows.append(np.broadcast_to(gdofs[:, :, None], blocks.shape).ravel())
+        self.cols.append(np.broadcast_to(gdofs[:, None, :], blocks.shape).ravel())
+        self.vals.append(blocks.ravel())
 
     def matrix(self, n):
-        if not self.rows:
-            return sp.csr_matrix((n, n))
         a = sp.coo_matrix(
             (
                 np.concatenate(self.vals),
@@ -250,34 +228,31 @@ def assemble(
     loc2glob, dof_coords = build_dof_map(domain)
     n_dof = dof_coords.shape[0]
 
+    # An affine element's volume block is |J| (sum_ab G_ab S_ab + alpha M)
+    # with G = B^-1 B^-T, S_ab = (d_a phi, d_b phi) and M on the reference.
+    cw = elem.cub_w[:, None]
+    dr, ds, phi = elem.cub_dr, elem.cub_ds, elem.cub_basis
+    pairs = ((dr, dr), (dr, ds), (ds, dr), (ds, ds), (phi, phi))
+    ref = np.stack([(a * cw).T @ b for a, b in pairs]).reshape(len(pairs), -1)
+    active = domain.active
+    binv = mesh.affine_b_inv[active]
+    jac = np.abs(mesh.jacobian[active])
+    g = (binv @ binv.transpose(0, 2, 1)).reshape(-1, 4)
+    coeffs = np.column_stack([g, np.full(active.size, problem.alpha)])
+    blocks = (jac[:, None] * coeffs) @ ref
     acc = _Accumulator()
-    rhs = np.zeros(n_dof)
+    acc.add(loc2glob, blocks.reshape(-1, elem.n_points, elem.n_points))
 
-    phi = elem.cub_basis
-    cw = elem.cub_w
     rs_cub = np.column_stack([elem.cub_r, elem.cub_s])
-    for row, n in enumerate(domain.active):
-        binv = mesh.affine_b_inv[n]
-        jac = abs(mesh.jacobian[n])
-        gx = elem.cub_dr * binv[0, 0] + elem.cub_ds * binv[1, 0]
-        gy = elem.cub_dr * binv[0, 1] + elem.cub_ds * binv[1, 1]
-        block = jac * (
-            (gx * cw[:, None]).T @ gx
-            + (gy * cw[:, None]).T @ gy
-            + problem.alpha * (phi * cw[:, None]).T @ phi
-        )
-        acc.add(loc2glob[row], block)
-        xq = mesh.to_physical(n, rs_cub)
-        fq = (
-            np.asarray(problem.forcing(xq), dtype=float)
-            if callable(problem.forcing)
-            else np.full(xq.shape[0], float(problem.forcing))
-        )
-        rhs[loc2glob[row]] += jac * phi.T @ (cw * fq)
+    xq = mesh.to_physical(active, rs_cub).reshape(-1, 2)
+    f = problem.forcing
+    fq = np.asarray(f(xq) if callable(f) else f, dtype=float)
+    fq = np.broadcast_to(fq, xq.shape[:1]).reshape(active.size, -1)
+    local = (jac[:, None] * elem.cub_w * fq) @ phi
+    rhs = np.bincount(loc2glob.ravel(), weights=local.ravel(), minlength=n_dof)
 
     h_avg = domain.h_avg
     gamma_global = problem.gamma if problem.gamma is not None else h_avg / 2.0
-    row_of = {n: i for i, n in enumerate(domain.active)}
     takes_normal = {
         id(c): _takes_normal(c.data if isinstance(c, NeumannBC) else c.q_data)
         for c in problem.conditions
@@ -291,7 +266,7 @@ def assemble(
             untagged.append(rec.edge)
             continue
 
-        lam = _barycentric(rec.rs_map)
+        lam = barycentric(rec.rs_map)
         if np.abs(lam).max() > EXTRAPOLATION_GUARD:
             raise ValueError(
                 f"edge {rec.edge}: mapped point far outside element "
@@ -306,7 +281,7 @@ def assemble(
             gamma = gamma_global
 
         vbar, vmap, gbarn, gmapn = _elem_traces(domain, elem, rec)
-        gdofs = loc2glob[row_of[rec.elem]]
+        gdofs = loc2glob[domain.active_row[rec.elem]]
         w = rec.w
         block = np.zeros((elem.n_points, elem.n_points))
         bvec = np.zeros(elem.n_points)
@@ -372,7 +347,7 @@ def assemble(
             block += (test * (w * c2)[:, None]).T @ gmapn
             bvec += test.T @ (w * c1 * ud) + test.T @ (w * qdat)
 
-        acc.add(gdofs, block)
+        acc.add(gdofs[None], block[None])
         rhs[gdofs] += bvec
 
     if untagged:

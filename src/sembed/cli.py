@@ -60,11 +60,13 @@ def main(argv=None) -> int:
             wavenumber=args.wavenumber,
             out=args.out,
         )
+        # a spec valid field by field can still ask a fixture for what it
+        # cannot build (say, cbm on an embedded fixture); it says so here
+        rows, rates = run(spec)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    rows, rates = run(spec)
     if args.dat and args.out is not None:
         _write_dat(args.out, rows)
 

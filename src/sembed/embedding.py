@@ -13,10 +13,12 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .geometry import Circle, ImplicitGeometry
 from .meshing import TriMesh
-from .refelem import build_reference_element
+from .refelem import barycentric, build_reference_element
 
 log = logging.getLogger(__name__)
 
@@ -123,16 +125,21 @@ class SurrogateDomain:
         the life of the domain (the records must not change after that)."""
         return _boundary_traces(self)
 
+    @cached_property
+    def active_row(self) -> np.ndarray:
+        """Each mesh element's row in `active` (and in an assembled system's
+        `loc2glob`); -1 for elements outside the active set."""
+        row = np.full(self.mesh.n_elements, -1, dtype=np.int64)
+        row[self.active] = np.arange(self.n_active)
+        return row
+
     def h_stats(self) -> tuple[float, float, float]:
         h = self.mesh.h_elem[self.active]
         return float(h.min()), float(h.mean()), float(h.max())
 
     def active_edge_lengths(self) -> np.ndarray:
-        mask = np.zeros(self.mesh.n_elements, dtype=bool)
-        mask[self.active] = True
         keep = np.zeros(self.mesh.edges.shape[0], dtype=bool)
-        for local in range(3):
-            keep[self.mesh.elem_edges[self.active, local]] = True
+        keep[self.mesh.elem_edges[self.active]] = True
         return self.mesh.edge_lengths[keep]
 
     @property
@@ -156,37 +163,27 @@ class SurrogateDomain:
 def _check_connected(mesh: TriMesh, active: np.ndarray) -> None:
     if active.size == 0:
         raise ValueError("active element set is empty")
-    in_active = np.zeros(mesh.n_elements, dtype=bool)
-    in_active[active] = True
-    seen = {active[0]}
-    stack = [active[0]]
-    while stack:
-        n = stack.pop()
-        for k in mesh.elem_edges[n]:
-            for other in mesh.edge_elems[k]:
-                if other >= 0 and in_active[other] and other not in seen:
-                    seen.add(other)
-                    stack.append(other)
-    if len(seen) != active.size:
+    # active elements joined by the edges they share
+    e0, e1 = mesh.edge_elems[np.isin(mesh.edge_elems, active).all(axis=1)].T
+    n = mesh.n_elements
+    graph = sp.coo_matrix((np.ones(e0.size), (e0, e1)), shape=(n, n))
+    label = connected_components(graph, directed=False)[1]
+    reached = int(np.count_nonzero(label[active] == label[active[0]]))
+    if reached != active.size:
         raise ValueError(
             f"active element set is disconnected "
-            f"({len(seen)} of {active.size} reachable)"
+            f"({reached} of {active.size} reachable)"
         )
 
 
 def _surrogate_edges(mesh: TriMesh, keep_elem: np.ndarray):
-    """Edges of kept elements facing a non-kept element or the mesh hull.
-    Yields (edge index, owning element)."""
-    out = []
-    for k in range(mesh.edges.shape[0]):
-        e0, e1 = mesh.edge_elems[k]
-        k0 = keep_elem[e0]
-        k1 = keep_elem[e1] if e1 >= 0 else False
-        if k0 and not k1:
-            out.append((k, e0))
-        elif k1 and not k0:
-            out.append((k, e1))
-    return out
+    """Edges of kept elements facing a non-kept element or the mesh hull,
+    in edge order. Returns (edge index, owning element) pairs."""
+    e0, e1 = mesh.edge_elems.T
+    k0 = keep_elem[e0]
+    edges = np.flatnonzero(k0 != ((e1 >= 0) & keep_elem[e1]))
+    owners = np.where(k0, e0, e1)[edges]
+    return list(zip(edges.tolist(), owners.tolist()))
 
 
 def _edge_frame(mesh: TriMesh, edge: int, elem: int):
@@ -235,11 +232,7 @@ def _element_boundary_intersections(mesh, geometry, elem, h_max):
 
 
 def _point_in_element(mesh, elem, p, tol=1e-9):
-    rs = mesh.to_reference(elem, p)[0]
-    lam = np.array(
-        [-(rs[0] + rs[1]) / 2.0, (1.0 + rs[0]) / 2.0, (1.0 + rs[1]) / 2.0]
-    )
-    return lam.min() >= -tol
+    return barycentric(mesh.to_reference(elem, p)).min() >= -tol
 
 
 def _arc_points(geometry, p0, p1, fractions):

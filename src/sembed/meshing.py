@@ -74,14 +74,15 @@ class TriMesh:
         n_elm = e.shape[0]
         self.elem_edges = inv.reshape(3, n_elm).T.copy()
         self.edge_elems = np.full((uniq.shape[0], 2), -1, dtype=np.int64)
-        for local in range(3):
-            for n, k in enumerate(self.elem_edges[:, local]):
-                if self.edge_elems[k, 0] < 0:
-                    self.edge_elems[k, 0] = n
-                elif self.edge_elems[k, 1] < 0:
-                    self.edge_elems[k, 1] = n
-                else:
-                    raise ValueError(f"edge {k} shared by more than two elements")
+        # visiting the sides local edge by local edge, an edge's first visit
+        # fills slot 0 and its second slot 1
+        visits = self.elem_edges.T.ravel()
+        order = np.argsort(visits, kind="stable")
+        slot = np.arange(visits.size) - np.searchsorted(visits[order], visits[order])
+        if slot.max() > 1:
+            k = visits[order[slot > 1].min()]
+            raise ValueError(f"edge {k} shared by more than two elements")
+        self.edge_elems[visits[order], slot] = order % n_elm
         self.boundary_edges = np.flatnonzero(self.edge_elems[:, 1] < 0)
 
     def _build_affine(self):
@@ -134,9 +135,12 @@ class TriMesh:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         return (x - self.affine_c[elem]) @ self.affine_b_inv[elem].T
 
-    def to_physical(self, elem: int, rs: np.ndarray) -> np.ndarray:
+    def to_physical(self, elem, rs: np.ndarray) -> np.ndarray:
+        """Reference points (n, 2) -> physical points (n, 2) in element
+        `elem`, or (len(elem), n, 2) for an array of element indices."""
         rs = np.atleast_2d(np.asarray(rs, dtype=float))
-        return rs @ self.affine_b[elem].T + self.affine_c[elem]
+        b = np.swapaxes(self.affine_b[elem], -1, -2)
+        return rs @ b + self.affine_c[elem][..., None, :]
 
     def element_centroids(self) -> np.ndarray:
         return self.vertices[self.elements].mean(axis=1)
@@ -345,8 +349,7 @@ def write_gmsh(mesh: TriMesh, path) -> None:
         f.write("$EndElements\n")
 
 
-def _delaunay_mesh(points, keep_centroid=None, lc=None) -> TriMesh:
-    points = np.asarray(points, dtype=float)
+def _delaunay_triangles(points, keep_centroid=None) -> np.ndarray:
     tri = Delaunay(points)
     simplices = tri.simplices
     p = points[simplices]
@@ -365,7 +368,7 @@ def _delaunay_mesh(points, keep_centroid=None, lc=None) -> TriMesh:
     if keep_centroid is not None:
         cent = p.mean(axis=1)
         good &= keep_centroid(cent)
-    return TriMesh(points, simplices[good], lc=lc)
+    return simplices[good]
 
 
 def generate_structured_square(
@@ -397,7 +400,8 @@ def generate_structured_square(
         else:
             xs = np.linspace(x0, x0 + lx, nx + 1)
         pts.extend((x, y) for x in xs)
-    return _delaunay_mesh(np.array(pts), lc=lc)
+    pts = np.array(pts)
+    return TriMesh(pts, _delaunay_triangles(pts), lc=lc)
 
 
 def generate_structured_disk(
@@ -406,7 +410,8 @@ def generate_structured_disk(
     center: tuple[float, float] = (0.0, 0.0),
 ) -> TriMesh:
     """Quasi-uniform disk triangulation; boundary vertices land on the circle
-    to round-off (snapping contract for conformal fixtures)."""
+    to round-off and never outside it: radius - |x - center| >= 0 holds
+    exactly (snapping contract for conformal fixtures)."""
     if lc <= 0 or radius <= 0:
         raise ValueError("lc and radius must be positive")
     cx, cy = center
@@ -431,4 +436,10 @@ def generate_structured_disk(
     def inside(cent):
         return np.linalg.norm(cent - (cx, cy), axis=1) < radius
 
-    return _delaunay_mesh(pts, keep_centroid=inside, lc=lc)
+    tris = _delaunay_triangles(pts, keep_centroid=inside)
+    # then step each vertex that rounded outside toward the centre, one ulp
+    # per coordinate at a time, until it is on or inside the circle; the
+    # triangulation is the one of the snapped points
+    while (out := np.linalg.norm(pts - (cx, cy), axis=1) > radius).any():
+        pts[out] = np.nextafter(pts[out], center)
+    return TriMesh(pts, tris, lc=lc)

@@ -210,19 +210,35 @@ def _warp_factor(order: int, rout: np.ndarray) -> np.ndarray:
     return warp / sf + warp * (zerof - 1.0)
 
 
+def barycentric(rs: np.ndarray) -> np.ndarray:
+    """Barycentric coordinates (n, 3) of reference points rs (n, 2) on the
+    vertices (-1, -1), (1, -1), (-1, 1)."""
+    return np.stack(
+        [
+            -(rs[:, 0] + rs[:, 1]) / 2.0,
+            (1.0 + rs[:, 0]) / 2.0,
+            (1.0 + rs[:, 1]) / 2.0,
+        ],
+        axis=1,
+    )
+
+
+def lattice_weights(order: int) -> np.ndarray:
+    """Integer barycentric weights (n_p, 3) of the order-P node lattice on
+    the reference vertices (-1, -1), (1, -1), (-1, 1), in node order; each
+    row sums to P. This loop is the one statement of the node order."""
+    ij = [(i, j) for i in range(order + 1) for j in range(order + 1 - i)]
+    i, j = np.array(ij, dtype=np.int64).T
+    return np.column_stack([order - i - j, j, i])
+
+
 def warp_blend_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Warp-and-blend nodal set on the reference triangle, (r, s) arrays."""
     alpha = _ALPHA_OPT[order - 1] if order <= len(_ALPHA_OPT) else 5.0 / 3.0
-    n_p = (order + 1) * (order + 2) // 2
 
-    l1 = np.empty(n_p)
-    l3 = np.empty(n_p)
-    k = 0
-    for i in range(order + 1):
-        for j in range(order + 1 - i):
-            l1[k] = i / order
-            l3[k] = j / order
-            k += 1
+    weights = lattice_weights(order)
+    l1 = weights[:, 2] / order
+    l3 = weights[:, 1] / order
     l2 = 1.0 - l1 - l3
 
     x = -l2 + l3
@@ -275,6 +291,7 @@ class ReferenceElement:
     order: int
     r: np.ndarray
     s: np.ndarray
+    lattice: np.ndarray  # integer barycentric weights of the nodes
     vandermonde: np.ndarray
     vandermonde_inv: np.ndarray
     d_r: np.ndarray
@@ -320,6 +337,7 @@ def build_reference_element(order: int) -> ReferenceElement:
         order=order,
         r=r,
         s=s,
+        lattice=lattice_weights(order),
         vandermonde=v,
         vandermonde_inv=v_inv,
         d_r=d_r,

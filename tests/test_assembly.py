@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from sembed import assembly as assembly_mod
 from sembed.assembly import (
@@ -13,14 +14,56 @@ from sembed.assembly import (
     NEUMANN_FORMS,
     ROBIN_FORMS,
     assemble,
+    build_dof_map,
 )
 from sembed.embedding import build_surrogate, conformal_surrogate
-from sembed.experiments import disk_fixture
+from sembed.experiments import disk_fixture, embedded_disk_fixture
 from sembed.geometry import Circle
-from sembed.meshing import generate_structured_disk, generate_structured_square
-from sembed.mms import ManufacturedSolution
-from sembed.refelem import ReferenceElement
+from sembed.meshing import (
+    TriMesh,
+    generate_structured_disk,
+    generate_structured_square,
+    read_gmsh,
+    write_gmsh,
+)
+from sembed.mms import ManufacturedSolution, l1_error
+from sembed.refelem import ReferenceElement, build_reference_element
 from sembed.solve import solve_direct
+
+
+def geometric_dof_map(domain):
+    # The geometric-hash numbering that topological numbering replaced,
+    # kept as the reference for it: element-local nodes merged when their
+    # physical points agree to 1e-10 h_min.
+    mesh = domain.mesh
+    elem = build_reference_element(domain.order)
+    rs = np.column_stack([elem.r, elem.s])
+    tol = max(1e-10 * mesh.h_min, 1e-14)
+    inv_cell = 1.0 / tol
+
+    table: dict[tuple[int, int], int] = {}
+    coords: list[np.ndarray] = []
+    loc2glob = np.empty((domain.n_active, elem.n_points), dtype=np.int64)
+    for row, n in enumerate(domain.active):
+        pts = mesh.to_physical(n, rs)
+        for k, p in enumerate(pts):
+            ci = int(np.floor(p[0] * inv_cell))
+            cj = int(np.floor(p[1] * inv_cell))
+            found = -1
+            for di in (-1, 0, 1):
+                for dj in (-1, 0, 1):
+                    g = table.get((ci + di, cj + dj))
+                    if g is not None and np.linalg.norm(coords[g] - p) <= tol:
+                        found = g
+                        break
+                if found >= 0:
+                    break
+            if found < 0:
+                found = len(coords)
+                coords.append(p)
+                table[(ci, cj)] = found
+            loc2glob[row, k] = found
+    return loc2glob, np.array(coords)
 
 CENTER = (0.5, 0.5)
 RADIUS = 0.375
@@ -308,3 +351,164 @@ def test_flux_arity_from_signature():
     # data taking points only is still called with points only
     only_x = NeumannBC(lambda x: np.zeros(len(x)))
     assemble(domain, BoundaryProblem(conditions=[only_x], alpha=1.0))
+
+
+METHODS = ["cbm", "sbm-e", "sbm-ei", "sbm-i"]
+
+
+def _assert_matches_geometric_oracle(domain):
+    loc2glob, coords = build_dof_map(domain)
+    ref_l2g, ref_coords = geometric_dof_map(domain)
+    assert loc2glob.dtype == ref_l2g.dtype
+    assert np.array_equal(loc2glob, ref_l2g)
+    assert np.array_equal(coords, ref_coords)  # bitwise, not to a tolerance
+
+
+@pytest.mark.parametrize("order", range(1, 11))
+@pytest.mark.parametrize("method", METHODS)
+def test_dof_map_matches_geometric_oracle(method, order):
+    _assert_matches_geometric_oracle(disk_fixture(method, 0.3, order))
+    if method != "cbm":
+        _assert_matches_geometric_oracle(
+            embedded_disk_fixture(method, 0.3, order)
+        )
+
+
+def _write_v41(mesh, path, tags):
+    """`mesh` as an ASCII MSH v4.1 file, vertex i under node tag tags[i]."""
+    with open(path, "w") as f:
+        f.write("$MeshFormat\n4.1 0 8\n$EndMeshFormat\n")
+        n = mesh.n_vertices
+        f.write(f"$Nodes\n1 {n} {tags.min()} {tags.max()}\n2 1 0 {n}\n")
+        f.writelines(f"{t}\n" for t in tags)
+        f.writelines(f"{x!r} {y!r} 0\n" for x, y in mesh.vertices.tolist())
+        f.write("$EndNodes\n")
+        m = mesh.n_elements
+        f.write(f"$Elements\n1 {m} 1 {m}\n2 1 2 {m}\n")
+        for i, (a, b, c) in enumerate(tags[mesh.elements].tolist(), start=1):
+            f.write(f"{i} {a} {b} {c}\n")
+        f.write("$EndElements\n")
+
+
+def test_dof_map_on_shuffled_gmsh_round_trip(tmp_path):
+    # element rows shuffled and each rotated, node tags permuted: the
+    # numbering follows the element order and vertex ids of the file
+    rng = np.random.default_rng(7)
+    base = generate_structured_square(0.25, 1.0, 1.0)
+    rows = rng.permutation(base.n_elements)
+    shift = rng.integers(0, 3, base.n_elements)
+    rotated = np.take_along_axis(
+        base.elements[rows], (np.arange(3) + shift[:, None]) % 3, axis=1
+    )
+    mixed = TriMesh(base.vertices, rotated)
+    tags = rng.permutation(base.n_vertices) * 3 + 5
+    _write_v41(mixed, tmp_path / "mixed.msh", tags)
+    v41 = read_gmsh(tmp_path / "mixed.msh")
+    write_gmsh(v41, tmp_path / "mixed22.msh")
+    v22 = read_gmsh(tmp_path / "mixed22.msh")
+    assert np.array_equal(v22.elements, v41.elements)
+    circle = Circle(CENTER, RADIUS)
+    for order in (1, 3, 6):
+        _assert_matches_geometric_oracle(conformal_surrogate(v41, None, order))
+        for mode in ("extrapolation", "interpolation"):
+            _assert_matches_geometric_oracle(
+                build_surrogate(v41, circle, mode, "closest_point", order)
+            )
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_dof_positions_agree_across_elements(method):
+    # C0: every element holding a global DOF places it at the same point
+    for order in (2, 7, 10):
+        domain = disk_fixture(method, 0.3, order)
+        loc2glob, coords = build_dof_map(domain)
+        elem = build_reference_element(order)
+        points = domain.mesh.to_physical(
+            domain.active, np.column_stack([elem.r, elem.s])
+        )
+        gap = np.abs(points - coords[loc2glob]).max()
+        assert gap <= 1e-12 * domain.mesh.h_min
+        # and no two DOFs share a point
+        assert np.unique(coords, axis=0).shape[0] == coords.shape[0]
+
+
+def test_dof_numbering_follows_connectivity_not_coordinates():
+    # two triangles on one square; the second's corners are separate
+    # vertex ids at the same points, so the shared edge is two sets of DOFs
+    v = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    joined = TriMesh(v, [[0, 1, 2], [0, 2, 3]])
+    split = TriMesh(np.vstack([v, v[[0, 2]]]), [[0, 1, 2], [4, 5, 3]])
+    for mesh, n_dof in ((joined, 9), (split, 12)):
+        domain = conformal_surrogate(mesh, None, 2)
+        assert build_dof_map(domain)[1].shape[0] == n_dof
+
+
+def _per_element_volume(domain, problem, loc2glob, n_dof):
+    # The per-element volume loop that the batched reference-matrix form
+    # replaced, kept as the reference for it.
+    mesh = domain.mesh
+    elem = build_reference_element(domain.order)
+    rows, cols, vals = [], [], []
+    rhs = np.zeros(n_dof)
+    phi, cw = elem.cub_basis, elem.cub_w
+    rs_cub = np.column_stack([elem.cub_r, elem.cub_s])
+    for row, n in enumerate(domain.active):
+        binv = mesh.affine_b_inv[n]
+        jac = abs(mesh.jacobian[n])
+        gx = elem.cub_dr * binv[0, 0] + elem.cub_ds * binv[1, 0]
+        gy = elem.cub_dr * binv[0, 1] + elem.cub_ds * binv[1, 1]
+        block = jac * (
+            (gx * cw[:, None]).T @ gx
+            + (gy * cw[:, None]).T @ gy
+            + problem.alpha * (phi * cw[:, None]).T @ phi
+        )
+        r, c = np.meshgrid(loc2glob[row], loc2glob[row], indexing="ij")
+        rows.append(r.ravel())
+        cols.append(c.ravel())
+        vals.append(block.ravel())
+        fq = np.asarray(problem.forcing(mesh.to_physical(n, rs_cub)))
+        rhs[loc2glob[row]] += jac * phi.T @ (cw * fq)
+    matrix = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n_dof, n_dof),
+    ).tocsr()
+    return matrix, rhs
+
+
+def _per_element_l1(domain, system, u_vec, exact_u):
+    mesh = domain.mesh
+    elem = build_reference_element(domain.order)
+    rs = np.column_stack([elem.cub_r, elem.cub_s])
+    total = 0.0
+    for row, n in enumerate(domain.active):
+        uh = elem.cub_basis @ u_vec[system.loc2glob[row]]
+        ue = np.asarray(exact_u(mesh.to_physical(n, rs)), dtype=float)
+        total += abs(mesh.jacobian[n]) * float(elem.cub_w @ np.abs(uh - ue))
+    return total
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_volume_terms_and_l1_match_per_element_oracle(monkeypatch, method):
+    mms = ManufacturedSolution(wavenumber=1)
+    for order in (1, 4):
+        domain = disk_fixture(method, 0.2, order)
+        problem = BoundaryProblem(
+            conditions=[DirichletBC(mms.u)], forcing=mms.forcing(0.5),
+            alpha=0.5,
+        )
+        system = assemble(domain, problem)
+        u = solve_direct(system, compute_cond=False).u
+        got = l1_error(domain, system, u, mms.u)
+        want = _per_element_l1(domain, system, u, mms.u)
+        assert abs(got - want) <= 1e-12 * want
+
+        # zero boundary traces leave only the volume terms
+        with monkeypatch.context() as m:
+            m.setattr(assembly_mod, "_elem_traces", lambda dom, el, rec: (
+                (np.zeros((rec.w.size, el.n_points)),) * 4))
+            volume = assemble(domain, problem)
+        matrix, rhs = _per_element_volume(
+            domain, problem, volume.loc2glob, volume.n_dof
+        )
+        assert abs(volume.matrix - matrix).max() <= 1e-12 * abs(matrix).max()
+        assert np.abs(volume.rhs - rhs).max() <= 1e-12 * np.abs(rhs).max()

@@ -229,3 +229,23 @@ def test_embedded_fixtures_reject_the_conformal_method():
         experiments.embedded_disk_fixture("cbm", 0.3, 1)
     with pytest.raises(ValueError, match="embedded only"):
         experiments.square_with_hole_fixture("cbm", 0.3, 1)
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann", "robin"])
+def test_aligned_degeneration_on_one_ring_disk(bc):
+    # at lc 0.3 an outer vertex used to round to phi = -5.6e-17, so the
+    # sbm-e active set lost its element and the gap could not be formed
+    gaps = experiments.aligned_degeneration(0.3, 2, bc)
+    assert set(gaps) == {"sbm-e", "sbm-ei", "sbm-i"}
+    assert max(gaps.values()) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["robin_consistency_delta",
+                                  "mixed_dirichlet_neumann"])
+def test_cli_reports_fixture_that_rejects_the_method(kind, capsys):
+    rc = cli.main(["--experiment", kind, "--method", "cbm",
+                   "--lc-ladder", "0.3", "--p-ladder", "1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "embedded" in err or "shifted-boundary" in err

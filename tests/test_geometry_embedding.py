@@ -7,6 +7,8 @@ import pytest
 
 from sembed.geometry import Circle, Difference, Rectangle
 from sembed.embedding import (
+    _check_connected,
+    _surrogate_edges,
     build_surrogate,
     classify_elements,
     conformal_surrogate,
@@ -143,3 +145,68 @@ def test_dump_csv(tmp_path):
     dom.dump_csv(path)
     text = path.read_text().splitlines()
     assert len(text) > 1  # header plus at least one record row
+
+
+def _surrogate_edges_loop(mesh, keep_elem):
+    # The per-edge loop the boolean expression replaced, kept as reference.
+    out = []
+    for k in range(mesh.edges.shape[0]):
+        e0, e1 = mesh.edge_elems[k]
+        k0 = keep_elem[e0]
+        k1 = keep_elem[e1] if e1 >= 0 else False
+        if k0 and not k1:
+            out.append((k, e0))
+        elif k1 and not k0:
+            out.append((k, e1))
+    return out
+
+
+def _reachable_by_search(mesh, active):
+    # Depth-first search over shared edges, the reference for the count.
+    in_active = np.zeros(mesh.n_elements, dtype=bool)
+    in_active[active] = True
+    seen, stack = {active[0]}, [active[0]]
+    while stack:
+        for k in mesh.elem_edges[stack.pop()]:
+            for other in mesh.edge_elems[k]:
+                if other >= 0 and in_active[other] and other not in seen:
+                    seen.add(other)
+                    stack.append(other)
+    return len(seen)
+
+
+def test_surrogate_edges_match_per_edge_loop():
+    rng = np.random.default_rng(3)
+    mesh = generate_structured_square(0.15, 1.0, 1.0)
+    labels = classify_elements(mesh, Circle(CENTER, RADIUS))
+    masks = [labels == "inside", labels != "outside",
+             np.ones(mesh.n_elements, dtype=bool)]
+    masks += [rng.random(mesh.n_elements) < 0.5 for _ in range(5)]
+    for keep in masks:
+        got = _surrogate_edges(mesh, keep)
+        want = _surrogate_edges_loop(mesh, keep)
+        assert [(int(k), int(e)) for k, e in want] == got
+
+
+def test_check_connected_counts_reachable_elements():
+    rng = np.random.default_rng(5)
+    mesh = generate_structured_square(0.2, 1.0, 1.0)
+    with pytest.raises(ValueError, match="empty"):
+        _check_connected(mesh, np.array([], dtype=np.int64))
+    _check_connected(mesh, np.arange(mesh.n_elements))
+    for _ in range(10):
+        active = np.flatnonzero(rng.random(mesh.n_elements) < 0.6)
+        reached = _reachable_by_search(mesh, active)
+        if reached == active.size:
+            _check_connected(mesh, active)
+        else:
+            with pytest.raises(ValueError, match=(
+                    f"disconnected \\({reached} of {active.size} reachable")):
+                _check_connected(mesh, active)
+
+
+def test_active_edge_lengths_cover_active_elements():
+    mesh = generate_structured_square(0.2, 1.0, 1.0)
+    domain = build_surrogate(mesh, Circle(CENTER, RADIUS), "extrapolation")
+    edges = np.unique(mesh.elem_edges[domain.active])
+    assert np.array_equal(domain.active_edge_lengths(), mesh.edge_lengths[edges])

@@ -48,6 +48,32 @@ def test_edge_tables_consistent():
     assert np.array_equal(np.flatnonzero(counts == 1), np.sort(mesh.boundary_edges))
 
 
+def _edge_elems_by_visit(mesh):
+    # The per-side loop the sorted visit order replaced, kept as reference.
+    edge_elems = np.full((mesh.edges.shape[0], 2), -1, dtype=np.int64)
+    for local in range(3):
+        for n, k in enumerate(mesh.elem_edges[:, local]):
+            slot = 0 if edge_elems[k, 0] < 0 else 1
+            edge_elems[k, slot] = n
+    return edge_elems
+
+
+def test_edge_elems_match_visit_order():
+    rng = np.random.default_rng(11)
+    for mesh in (generate_structured_disk(0.1, 0.5),
+                 generate_structured_square(0.15, 1.0, 1.0)):
+        rows = rng.permutation(mesh.n_elements)
+        shuffled = TriMesh(mesh.vertices, mesh.elements[rows])
+        for m in (mesh, shuffled):
+            assert np.array_equal(m.edge_elems, _edge_elems_by_visit(m))
+
+
+def test_edge_shared_by_three_elements_rejected():
+    v = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0], [2.0, 0.5]])
+    with pytest.raises(ValueError, match="edge 0 shared by more than two"):
+        TriMesh(v, np.array([[0, 1, 2], [0, 3, 1], [0, 1, 4]]))
+
+
 def test_euler_characteristic_disk_topology():
     for mesh in (generate_structured_square(0.21, 1.0, 1.0),
                  generate_structured_disk(0.2, 0.5)):
@@ -79,6 +105,17 @@ def test_disk_boundary_vertices_on_circle():
     bnd = np.unique(mesh.edges[mesh.boundary_edges])
     r = np.hypot(*(mesh.vertices[bnd] - np.array([0.5, 0.5])).T)
     assert np.abs(r - radius).max() < 1e-12
+
+
+@pytest.mark.parametrize("lc", [0.3, 0.25, 0.2, 0.1, 0.05])
+@pytest.mark.parametrize("radius, center", [(0.375, (0.5, 0.5)), (1.0, (0.0, 0.0))])
+def test_disk_vertices_never_outside_the_circle(lc, radius, center):
+    # the snapping contract an aligned circle fixture relies on: phi >= 0
+    # at every vertex, so no element touching the circle is classified cut
+    from sembed.geometry import Circle
+
+    mesh = generate_structured_disk(lc, radius, center)
+    assert Circle(center, radius).phi(mesh.vertices).min() >= 0.0
 
 
 def test_square_covers_requested_box():
