@@ -128,13 +128,15 @@ def build_dof_map(domain: SurrogateDomain):
     # one integer per pair, ordered as the vertex ids; 0 for a zero weight
     pairs = np.where(weights > 0, (verts + 1) * (domain.order + 1) + weights, 0)
     keys = np.sort(pairs, axis=2).reshape(-1, 3)
-    _, first, inverse = np.unique(
-        keys, axis=0, return_index=True, return_inverse=True
-    )
-    appearance = np.argsort(first)  # key indices in first-appearance order
-    loc2glob = np.argsort(appearance)[inverse.ravel()].reshape(pairs.shape[:2])
+    # a stable sort puts each key's first appearance at the head of its run
+    order = np.lexsort(keys.T)
+    run = np.r_[True, (np.diff(keys[order], axis=0) != 0).any(axis=1)]
+    head = np.empty_like(order)
+    head[order] = order[run][np.cumsum(run) - 1]
+    is_head = head == np.arange(head.size)
+    loc2glob = (np.cumsum(is_head) - 1)[head].reshape(pairs.shape[:2])
     points = domain.mesh.to_physical(domain.active, np.column_stack([elem.r, elem.s]))
-    return loc2glob, points.reshape(-1, 2)[first[appearance]]
+    return loc2glob, points.reshape(-1, 2)[is_head]
 
 
 def _eval_field(data, rec, points):

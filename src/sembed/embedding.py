@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .geometry import Circle, ImplicitGeometry
+from .geometry import Circle, ImplicitGeometry, _rot90
 from .meshing import TriMesh
 from .refelem import barycentric, build_reference_element
 
@@ -186,73 +186,138 @@ def _surrogate_edges(mesh: TriMesh, keep_elem: np.ndarray):
     return list(zip(edges.tolist(), owners.tolist()))
 
 
-def _edge_frame(mesh: TriMesh, edge: int, elem: int):
-    a = mesh.vertices[mesh.edges[edge, 0]]
-    b = mesh.vertices[mesh.edges[edge, 1]]
+def _edge_records(mesh: TriMesh, geometry, mapping_kind, edges, owners,
+                  order: int) -> list:
+    """Records of the surrogate edges `edges` owned by `owners`, in that
+    order. Every field is computed once over all edges, stacked per edge,
+    and split into one EdgeRecords per edge at the end. The 'identity'
+    mapping keeps x = x_bar and n = n_bar."""
+    ref = build_reference_element(order)
+    fractions = 0.5 * (ref.edge_q + 1.0)
+    a = mesh.vertices[mesh.edges[edges, 0]]
+    b = mesh.vertices[mesh.edges[edges, 1]]
     v = b - a
-    length = float(np.linalg.norm(v))
-    nbar = np.array([v[1], -v[0]]) / length
-    centroid = mesh.vertices[mesh.elements[elem]].mean(axis=0)
-    if nbar @ (0.5 * (a + b) - centroid) < 0:
-        nbar = -nbar
-    return a, b, length, nbar
+    length = np.linalg.norm(v, axis=1)
+    nbar = np.column_stack([v[:, 1], -v[:, 0]]) / length[:, None]
+    centroid = mesh.vertices[mesh.elements[owners]].mean(axis=1)
+    inward = np.einsum("ij,ij->i", nbar, 0.5 * (a + b) - centroid) < 0
+    nbar[inward] = -nbar[inward]
+    xbar = a[:, None, :] + fractions[:, None] * v[:, None, :]
+    flat = xbar.reshape(-1, 2)
+    if mapping_kind == "identity":
+        x = xbar.copy()
+        n = np.repeat(nbar[:, None], fractions.size, axis=1)
+        t = _rot90(n)
+    else:
+        x = geometry.project(flat).reshape(xbar.shape)
+        if mapping_kind == "in_element_equidistant":
+            _map_in_element(mesh, geometry, edges, owners, v, fractions, x)
+        flat = x.reshape(-1, 2)
+        n = geometry.normal(flat).reshape(x.shape)
+        t = geometry.tangent(flat).reshape(x.shape)
+    segment = (
+        geometry.segment(flat).reshape(x.shape[:2])
+        if geometry is not None
+        else np.zeros(x.shape[:2], dtype=np.int64)
+    )
+    fields = zip(
+        edges.tolist(), owners.tolist(), length.tolist(), nbar,
+        0.5 * length[:, None] * ref.edge_w, xbar, x, x - xbar, n, t,
+        mesh.to_reference(owners, xbar), mesh.to_reference(owners, x), segment,
+    )
+    return [EdgeRecords(*f) for f in fields]
 
 
-def _element_boundary_intersections(mesh, geometry, elem, h_max):
-    """Roots of phi along the three element edges, by bisection."""
-    pts = []
-    verts = mesh.vertices[mesh.elements[elem]]
+def _boundary_crossings(mesh: TriMesh, geometry, elems):
+    """Roots of phi along the three sides of each element in `elems`, found
+    by one bisection over all sides at once. Returns the first two distinct
+    roots per element, (len(elems), 2, 2), and the mask of elements with
+    exactly two."""
+    h_max = mesh.h_max
     tol = 1e-12 * h_max
-    for i in range(3):
-        pa, pb = verts[i], verts[(i + 1) % 3]
-        fa = float(geometry.phi(pa)[0])
-        fb = float(geometry.phi(pb)[0])
-        if fa * fb > 0:
-            continue
-        lo, hi = 0.0, 1.0
-        flo = fa
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            pm = pa + mid * (pb - pa)
-            fm = float(geometry.phi(pm)[0])
-            if abs(fm) < tol:
-                lo = hi = mid
-                break
-            if flo * fm <= 0:
-                hi = mid
-            else:
-                lo, flo = mid, fm
-        pts.append(pa + 0.5 * (lo + hi) * (pb - pa))
-    # merge duplicates from a root sitting on a shared vertex
-    uniq = []
-    for p in pts:
-        if all(np.linalg.norm(p - q) > 1e-9 * h_max for q in uniq):
-            uniq.append(p)
-    return uniq
-
-
-def _point_in_element(mesh, elem, p, tol=1e-9):
-    return barycentric(mesh.to_reference(elem, p)).min() >= -tol
+    verts = mesh.vertices[mesh.elements[elems]]
+    pa = verts.reshape(-1, 2)
+    pb = np.roll(verts, -1, axis=1).reshape(-1, 2)
+    fa = geometry.phi(pa)
+    fb = np.roll(fa.reshape(-1, 3), -1, axis=1).ravel()
+    crossed = fa * fb <= 0
+    lo, hi, flo = np.zeros(fa.size), np.ones(fa.size), fa.copy()
+    live = np.flatnonzero(crossed)
+    for _ in range(200):
+        if live.size == 0:
+            break
+        mid = 0.5 * (lo[live] + hi[live])
+        fm = geometry.phi(pa[live] + mid[:, None] * (pb[live] - pa[live]))
+        done = np.abs(fm) < tol
+        left = ~done & (flo[live] * fm <= 0)
+        right = ~done & ~left
+        lo[live[done]] = hi[live[done]] = mid[done]
+        hi[live[left]] = mid[left]
+        lo[live[right]], flo[live[right]] = mid[right], fm[right]
+        live = live[~done]
+    roots = (pa + (0.5 * (lo + hi))[:, None] * (pb - pa)).reshape(-1, 3, 2)
+    # merge duplicates from a root sitting on a shared vertex, keeping the
+    # first of each in side order
+    gap = np.linalg.norm(roots[:, :, None] - roots[:, None, :], axis=-1)
+    near = gap <= 1e-9 * h_max
+    keep = crossed.reshape(-1, 3).copy()
+    keep[:, 1] &= ~(keep[:, 0] & near[:, 1, 0])
+    keep[:, 2] &= ~(keep[:, 0] & near[:, 2, 0]) & ~(keep[:, 1] & near[:, 2, 1])
+    first = np.argsort(~keep, axis=1, kind="stable")[:, :2]
+    pairs = np.take_along_axis(roots, first[:, :, None], axis=1)
+    return pairs, keep.sum(axis=1) == 2
 
 
 def _arc_points(geometry, p0, p1, fractions):
-    """Equal chord-length points on the boundary between p0 and p1 for
-    geometries without an exact arc parametrization."""
-    lin = p0 + np.linspace(0.0, 1.0, 65)[:, None] * (p1 - p0)
-    samples = geometry.project(lin)
-    samples[0], samples[-1] = p0, p1
-    seg = np.linalg.norm(np.diff(samples, axis=0), axis=1)
-    arc = np.concatenate(([0.0], np.cumsum(seg)))
-    if arc[-1] <= 0:
-        return np.repeat(p0[None, :], fractions.size, axis=0)
-    want = fractions * arc[-1]
-    out = np.empty((fractions.size, 2))
-    for k, target in enumerate(want):
-        j = min(np.searchsorted(arc, target), len(arc) - 1)
-        j = max(j, 1)
-        f = (target - arc[j - 1]) / max(arc[j] - arc[j - 1], 1e-300)
-        out[k] = samples[j - 1] + f * (samples[j] - samples[j - 1])
+    """Equal chord-length points (m, nf, 2) on the boundary between each
+    p0 (m, 2) and p1 (m, 2), for geometries without an exact arc
+    parametrization."""
+    lin = p0[:, None] + np.linspace(0.0, 1.0, 65)[:, None] * (p1 - p0)[:, None]
+    samples = geometry.project(lin.reshape(-1, 2)).reshape(lin.shape)
+    samples[:, 0], samples[:, -1] = p0, p1
+    seg = np.linalg.norm(np.diff(samples, axis=1), axis=2)
+    arc = np.concatenate([np.zeros((seg.shape[0], 1)), np.cumsum(seg, axis=1)], axis=1)
+    want = fractions * arc[:, -1:]
+    # searchsorted per row: the first sample at or past each target
+    j = np.clip((arc[:, None, :] < want[:, :, None]).sum(axis=2), 1, arc.shape[1] - 1)
+    a0, a1 = np.take_along_axis(arc, j - 1, axis=1), np.take_along_axis(arc, j, axis=1)
+    s0 = np.take_along_axis(samples, (j - 1)[:, :, None], axis=1)
+    s1 = np.take_along_axis(samples, j[:, :, None], axis=1)
+    f = (want - a0) / np.maximum(a1 - a0, 1e-300)
+    out = s0 + f[:, :, None] * (s1 - s0)
+    no_arc = arc[:, -1] <= 0
+    out[no_arc] = p0[no_arc, None]
     return out
+
+
+def _map_in_element(mesh, geometry, edges, owners, v, fractions, x):
+    """Overwrite x, in place, with points spread evenly over the boundary
+    arc that cuts each record's owner at exactly two points, oriented like
+    the edge vector v. Records whose owner is not cut that way keep their
+    closest-point x, and each logs a warning."""
+    pairs, two = _boundary_crossings(mesh, geometry, owners)
+    p0, p1 = pairs[:, 0], pairs[:, 1]
+    swap = np.einsum("ij,ij->i", p1 - p0, v) < 0
+    p0, p1 = np.where(swap[:, None], p1, p0), np.where(swap[:, None], p0, p1)
+    todo = np.flatnonzero(two)
+    if isinstance(geometry, Circle):
+        cut = owners[todo]
+
+        def in_owner(mid):
+            rs = mesh.to_reference(cut, mid[:, None])
+            return barycentric(rs.reshape(-1, 2)).min(axis=1) >= -1e-6
+
+        arc, found = geometry.arc_param(p0[todo], p1[todo], fractions, in_owner)
+        x[todo[found]] = arc[found]
+        todo = todo[~found]
+    x[todo] = _arc_points(geometry, p0[todo], p1[todo], fractions)
+    for edge, owner in zip(edges[~two].tolist(), owners[~two].tolist()):
+        log.warning(
+            "edge %d: no boundary arc in element %d, "
+            "falling back to closest-point mapping",
+            edge,
+            owner,
+        )
 
 
 def build_surrogate(
@@ -285,62 +350,9 @@ def build_surrogate(
     active = np.flatnonzero(keep)
     _check_connected(mesh, active)
 
-    elem = build_reference_element(order)
-    gq, gw = elem.edge_q, elem.edge_w
-    fractions = 0.5 * (gq + 1.0)
-
-    records = []
-    for edge, owner in _surrogate_edges(mesh, keep):
-        a, b, length, nbar = _edge_frame(mesh, edge, owner)
-        xbar = a + fractions[:, None] * (b - a)
-        w = 0.5 * length * gw
-
-        x = None
-        if mapping_kind == "in_element_equidistant":
-            pts = _element_boundary_intersections(
-                mesh, geometry, owner, mesh.h_max
-            )
-            if len(pts) == 2:
-                p0, p1 = pts
-                if (p1 - p0) @ (b - a) < 0:
-                    p0, p1 = p1, p0
-                if isinstance(geometry, Circle):
-                    x = geometry.arc_param(
-                        p0,
-                        p1,
-                        fractions,
-                        prefer=lambda m: _point_in_element(mesh, owner, m, 1e-6),
-                    )
-                if x is None:
-                    x = _arc_points(geometry, p0, p1, fractions)
-            if x is None:
-                log.warning(
-                    "edge %d: no boundary arc in element %d, "
-                    "falling back to closest-point mapping",
-                    edge,
-                    owner,
-                )
-        if x is None:
-            x = geometry.project(xbar)
-
-        n = geometry.normal(x)
-        records.append(
-            EdgeRecords(
-                edge=edge,
-                elem=owner,
-                length=length,
-                nbar=nbar,
-                w=w,
-                xbar=xbar,
-                x=x,
-                d=x - xbar,
-                n=n,
-                t=geometry.tangent(x),
-                rs_bar=mesh.to_reference(owner, xbar),
-                rs_map=mesh.to_reference(owner, x),
-                segment=geometry.segment(x),
-            )
-        )
+    pairs = np.array(_surrogate_edges(mesh, keep), dtype=np.int64)
+    edges, owners = pairs.reshape(-1, 2).T
+    records = _edge_records(mesh, geometry, mapping_kind, edges, owners, order)
     return SurrogateDomain(
         mesh=mesh,
         geometry=geometry,
@@ -360,37 +372,9 @@ def conformal_surrogate(
     """Body-fitted path: every element is active, the surrogate boundary is
     the mesh hull, and the mapping degenerates (x = x_bar, d = 0, n = n_bar),
     so conformal and shifted assemblies share one code path."""
-    elem = build_reference_element(order)
-    fractions = 0.5 * (elem.edge_q + 1.0)
-    records = []
-    for edge in mesh.boundary_edges:
-        owner = int(mesh.edge_elems[edge, 0])
-        a, b, length, nbar = _edge_frame(mesh, edge, owner)
-        xbar = a + fractions[:, None] * (b - a)
-        n = np.repeat(nbar[None, :], xbar.shape[0], axis=0)
-        seg = (
-            geometry.segment(xbar)
-            if geometry is not None
-            else np.zeros(xbar.shape[0], dtype=np.int64)
-        )
-        rs = mesh.to_reference(owner, xbar)
-        records.append(
-            EdgeRecords(
-                edge=int(edge),
-                elem=owner,
-                length=length,
-                nbar=nbar,
-                w=0.5 * length * elem.edge_w,
-                xbar=xbar,
-                x=xbar.copy(),
-                d=np.zeros_like(xbar),
-                n=n,
-                t=np.column_stack([-n[:, 1], n[:, 0]]),
-                rs_bar=rs,
-                rs_map=rs.copy(),
-                segment=seg,
-            )
-        )
+    edges = mesh.boundary_edges
+    owners = mesh.edge_elems[edges, 0]
+    records = _edge_records(mesh, geometry, "identity", edges, owners, order)
     return SurrogateDomain(
         mesh=mesh,
         geometry=geometry,

@@ -65,24 +65,25 @@ class Circle(ImplicitGeometry):
         return self._radial(x)
 
     def arc_param(self, a: np.ndarray, b: np.ndarray, fractions: np.ndarray,
-                  prefer) -> np.ndarray:
-        """Points on the circle at equal arc fractions between boundary
-        points a and b; of the two candidate arcs, pick the one whose
-        midpoint satisfies `prefer`."""
-        ta = np.arctan2(a[1] - self.center[1], a[0] - self.center[0])
-        tb = np.arctan2(b[1] - self.center[1], b[0] - self.center[0])
+                  prefer) -> tuple[np.ndarray, np.ndarray]:
+        """Points (m, nf, 2) on the circle at equal arc fractions between
+        boundary points a (m, 2) and b (m, 2). Of the two candidate arcs of
+        each pair, pick the first whose midpoint passes `prefer`, which maps
+        (m, 2) midpoints to an (m,) mask. Also returns the (m,) mask of
+        pairs where one of the arcs passed; the others' points are junk."""
+        ta = np.arctan2(a[:, 1] - self.center[1], a[:, 0] - self.center[0])
+        tb = np.arctan2(b[:, 1] - self.center[1], b[:, 0] - self.center[0])
         dt = (tb - ta) % (2.0 * np.pi)
-        for sweep in (dt, dt - 2.0 * np.pi):
-            theta = ta + 0.5 * sweep
-            mid = self.center + self.radius * np.array(
-                [np.cos(theta), np.sin(theta)]
+
+        def on_circle(theta):
+            return self.center + self.radius * np.stack(
+                [np.cos(theta), np.sin(theta)], axis=-1
             )
-            if prefer(mid):
-                th = ta + fractions * sweep
-                return self.center + self.radius * np.column_stack(
-                    [np.cos(th), np.sin(th)]
-                )
-        return None
+
+        first = prefer(on_circle(ta + 0.5 * dt))
+        found = first | prefer(on_circle(ta + 0.5 * (dt - 2.0 * np.pi)))
+        sweep = np.where(first, dt, dt - 2.0 * np.pi)
+        return on_circle(ta[:, None] + fractions * sweep[:, None]), found
 
 
 class Rectangle(ImplicitGeometry):
@@ -120,17 +121,12 @@ class Rectangle(ImplicitGeometry):
                 ],
                 axis=-1,
             )
-            face = np.argmin(gaps, axis=-1)
-            for i in np.flatnonzero(inside):
-                f = face[i]
-                if f == 0:
-                    p[i, 1] = self.lower[1]
-                elif f == 1:
-                    p[i, 0] = self.upper[0]
-                elif f == 2:
-                    p[i, 1] = self.upper[1]
-                else:
-                    p[i, 0] = self.lower[0]
+            face = np.argmin(gaps, axis=-1)[inside]
+            # faces 0 and 2 fix y, faces 1 and 3 fix x
+            level = np.array(
+                [self.lower[1], self.upper[0], self.upper[1], self.lower[0]]
+            )
+            p[inside, 1 - face % 2] = level[face]
         return p
 
     def normal(self, x):

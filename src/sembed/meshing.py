@@ -130,10 +130,13 @@ class TriMesh:
     def h_avg(self) -> float:
         return float(self.edge_lengths.mean())
 
-    def to_reference(self, elem: int, x: np.ndarray) -> np.ndarray:
-        """Physical points (n, 2) -> reference coordinates for element `elem`."""
+    def to_reference(self, elem, x: np.ndarray) -> np.ndarray:
+        """Physical points (n, 2) -> reference coordinates for element
+        `elem`, or (len(elem), n, 2) for an array of element indices (x may
+        then hold one (n, 2) block per element)."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        return (x - self.affine_c[elem]) @ self.affine_b_inv[elem].T
+        b_inv = np.swapaxes(self.affine_b_inv[elem], -1, -2)
+        return (x - self.affine_c[elem][..., None, :]) @ b_inv
 
     def to_physical(self, elem, rs: np.ndarray) -> np.ndarray:
         """Reference points (n, 2) -> physical points (n, 2) in element

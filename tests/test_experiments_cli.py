@@ -249,3 +249,27 @@ def test_cli_reports_fixture_that_rejects_the_method(kind, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "embedded" in err or "shifted-boundary" in err
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann", "robin"])
+def test_aligned_degeneration_gaps_equal_dense_comparison(bc, monkeypatch):
+    # the gaps are formed on the sparse systems; the dense arrays they
+    # replaced must give the same numbers, bit for bit
+    systems = []
+    assemble = experiments.assemble
+
+    def keep(domain, problem):
+        systems.append(assemble(domain, problem))
+        return systems[-1]
+
+    monkeypatch.setattr(experiments, "assemble", keep)
+    gaps = experiments.aligned_degeneration(0.2, 2, bc)
+    reference, *others = systems
+    ref = reference.matrix.toarray()
+    scale = np.abs(ref).max()
+    for method, system in zip(gaps, others):
+        gap_a = np.abs(system.matrix.toarray() - ref).max() / scale
+        gap_b = np.abs(system.rhs - reference.rhs).max() / max(
+            np.abs(reference.rhs).max(), 1.0
+        )
+        assert gaps[method] == max(gap_a, gap_b)

@@ -328,3 +328,17 @@ def test_msh_any_text_token_parses_or_raises_parse_error(version, data, token):
     positions = _tokens(text)
     position = positions[data.draw(st.integers(0, len(positions) - 1))]
     _parses_or_rejects(_corrupt(text, position, token))
+
+
+def test_to_reference_takes_an_array_of_elements():
+    mesh = generate_structured_disk(0.2, 0.5)
+    rng = np.random.default_rng(1)
+    elems = rng.integers(0, mesh.n_elements, size=7)
+    shared = rng.uniform(-1.0, 1.0, size=(4, 2))
+    per_elem = rng.uniform(-1.0, 1.0, size=(7, 4, 2))
+    for x in (shared, per_elem):
+        got = mesh.to_reference(elems, x)
+        assert got.shape == (7, 4, 2)
+        for k, e in enumerate(elems):
+            want = mesh.to_reference(e, x if x.ndim == 2 else x[k])
+            np.testing.assert_allclose(got[k], want, rtol=1e-15, atol=1e-15)

@@ -135,3 +135,46 @@ def test_square_mesh_covers_box(lc, side):
     hi = mesh.vertices.max(axis=0)
     assert np.allclose(lo, 0.0, atol=1e-12)
     assert np.allclose(hi, side, atol=1e-12)
+
+
+def _project_by_loop(box, x):
+    # the per-point face snap that the batched Rectangle.project replaced
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    p = np.clip(x, box.lower, box.upper)
+    inside = np.all((x > box.lower) & (x < box.upper), axis=-1)
+    gaps = np.stack(
+        [
+            x[..., 1] - box.lower[1],
+            box.upper[0] - x[..., 0],
+            box.upper[1] - x[..., 1],
+            x[..., 0] - box.lower[0],
+        ],
+        axis=-1,
+    )
+    face = np.argmin(gaps, axis=-1)
+    for i in np.flatnonzero(inside):
+        f = face[i]
+        if f == 0:
+            p[i, 1] = box.lower[1]
+        elif f == 1:
+            p[i, 0] = box.upper[0]
+        elif f == 2:
+            p[i, 1] = box.upper[1]
+        else:
+            p[i, 0] = box.lower[0]
+    return p
+
+
+# coordinates inside, outside and exactly on the box [0.25, 1.5] x [-1, 0.5]
+box_x = st.one_of(st.floats(-1.0, 3.0), st.sampled_from([0.25, 1.5, 0.875]))
+box_y = st.one_of(st.floats(-2.0, 1.5), st.sampled_from([-1.0, 0.5, -0.25]))
+
+
+@MANY
+@given(st.lists(st.tuples(box_x, box_y), min_size=1, max_size=40))
+def test_rectangle_project_matches_per_point_snap(points):
+    box = Rectangle((0.25, -1.0), (1.5, 0.5))
+    x = np.array(points)
+    got = box.project(x)
+    want = _project_by_loop(box, x)
+    assert got.tobytes() == want.tobytes()

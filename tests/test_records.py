@@ -1,0 +1,377 @@
+"""Surrogate records from the batched builder against the per-edge builders
+it replaced, plus properties of the mapped points."""
+
+import dataclasses
+import logging
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from sembed.assembly import (
+    BoundaryProblem,
+    DirichletBC,
+    NeumannBC,
+    RobinBC,
+    assemble,
+)
+from sembed.embedding import (
+    EdgeRecords,
+    INSIDE,
+    OUTSIDE,
+    _check_connected,
+    _surrogate_edges,
+    build_surrogate,
+    classify_elements,
+    conformal_surrogate,
+)
+from sembed.experiments import (
+    disk_fixture,
+    embedded_disk_fixture,
+    square_with_hole_fixture,
+)
+from sembed.geometry import Circle
+from sembed.meshing import generate_structured_square
+from sembed.mms import ManufacturedSolution
+from sembed.refelem import barycentric, build_reference_element
+
+# ---------------------------------------------------------------------------
+# The per-edge builders the batched one replaced, kept as its reference:
+# one record at a time, a scalar bisection per element side, and the arc
+# chosen by a scalar barycentric test.
+
+
+def _edge_frame(mesh, edge, elem):
+    a = mesh.vertices[mesh.edges[edge, 0]]
+    b = mesh.vertices[mesh.edges[edge, 1]]
+    v = b - a
+    length = float(np.linalg.norm(v))
+    nbar = np.array([v[1], -v[0]]) / length
+    centroid = mesh.vertices[mesh.elements[elem]].mean(axis=0)
+    if nbar @ (0.5 * (a + b) - centroid) < 0:
+        nbar = -nbar
+    return a, b, length, nbar
+
+
+def _element_boundary_intersections(mesh, geometry, elem, h_max):
+    pts = []
+    verts = mesh.vertices[mesh.elements[elem]]
+    tol = 1e-12 * h_max
+    for i in range(3):
+        pa, pb = verts[i], verts[(i + 1) % 3]
+        fa = float(geometry.phi(pa)[0])
+        fb = float(geometry.phi(pb)[0])
+        if fa * fb > 0:
+            continue
+        lo, hi = 0.0, 1.0
+        flo = fa
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            pm = pa + mid * (pb - pa)
+            fm = float(geometry.phi(pm)[0])
+            if abs(fm) < tol:
+                lo = hi = mid
+                break
+            if flo * fm <= 0:
+                hi = mid
+            else:
+                lo, flo = mid, fm
+        pts.append(pa + 0.5 * (lo + hi) * (pb - pa))
+    uniq = []
+    for p in pts:
+        if all(np.linalg.norm(p - q) > 1e-9 * h_max for q in uniq):
+            uniq.append(p)
+    return uniq
+
+
+def _point_in_element(mesh, elem, p, tol=1e-9):
+    return barycentric(mesh.to_reference(elem, p)).min() >= -tol
+
+
+def _arc_param(circle, a, b, fractions, prefer):
+    ta = np.arctan2(a[1] - circle.center[1], a[0] - circle.center[0])
+    tb = np.arctan2(b[1] - circle.center[1], b[0] - circle.center[0])
+    dt = (tb - ta) % (2.0 * np.pi)
+    for sweep in (dt, dt - 2.0 * np.pi):
+        theta = ta + 0.5 * sweep
+        mid = circle.center + circle.radius * np.array(
+            [np.cos(theta), np.sin(theta)]
+        )
+        if prefer(mid):
+            th = ta + fractions * sweep
+            return circle.center + circle.radius * np.column_stack(
+                [np.cos(th), np.sin(th)]
+            )
+    return None
+
+
+def _arc_points(geometry, p0, p1, fractions):
+    lin = p0 + np.linspace(0.0, 1.0, 65)[:, None] * (p1 - p0)
+    samples = geometry.project(lin)
+    samples[0], samples[-1] = p0, p1
+    seg = np.linalg.norm(np.diff(samples, axis=0), axis=1)
+    arc = np.concatenate(([0.0], np.cumsum(seg)))
+    if arc[-1] <= 0:
+        return np.repeat(p0[None, :], fractions.size, axis=0)
+    want = fractions * arc[-1]
+    out = np.empty((fractions.size, 2))
+    for k, target in enumerate(want):
+        j = min(np.searchsorted(arc, target), len(arc) - 1)
+        j = max(j, 1)
+        f = (target - arc[j - 1]) / max(arc[j] - arc[j - 1], 1e-300)
+        out[k] = samples[j - 1] + f * (samples[j] - samples[j - 1])
+    return out
+
+
+def oracle_build_surrogate(mesh, geometry, mode, mapping_kind, order):
+    labels = classify_elements(mesh, geometry)
+    keep = labels == INSIDE if mode == "extrapolation" else labels != OUTSIDE
+    _check_connected(mesh, np.flatnonzero(keep))
+    elem = build_reference_element(order)
+    gq, gw = elem.edge_q, elem.edge_w
+    fractions = 0.5 * (gq + 1.0)
+    records = []
+    for edge, owner in _surrogate_edges(mesh, keep):
+        a, b, length, nbar = _edge_frame(mesh, edge, owner)
+        xbar = a + fractions[:, None] * (b - a)
+        w = 0.5 * length * gw
+        x = None
+        if mapping_kind == "in_element_equidistant":
+            pts = _element_boundary_intersections(
+                mesh, geometry, owner, mesh.h_max
+            )
+            if len(pts) == 2:
+                p0, p1 = pts
+                if (p1 - p0) @ (b - a) < 0:
+                    p0, p1 = p1, p0
+                if isinstance(geometry, Circle):
+                    x = _arc_param(
+                        geometry, p0, p1, fractions,
+                        lambda m: _point_in_element(mesh, owner, m, 1e-6),
+                    )
+                if x is None:
+                    x = _arc_points(geometry, p0, p1, fractions)
+            if x is None:
+                logging.getLogger("sembed.embedding").warning(
+                    "edge %d: no boundary arc in element %d, "
+                    "falling back to closest-point mapping",
+                    edge,
+                    owner,
+                )
+        if x is None:
+            x = geometry.project(xbar)
+        records.append(
+            EdgeRecords(
+                edge=edge, elem=owner, length=length, nbar=nbar, w=w,
+                xbar=xbar, x=x, d=x - xbar, n=geometry.normal(x),
+                t=geometry.tangent(x),
+                rs_bar=mesh.to_reference(owner, xbar),
+                rs_map=mesh.to_reference(owner, x),
+                segment=geometry.segment(x),
+            )
+        )
+    return records
+
+
+def oracle_conformal_surrogate(mesh, geometry, order):
+    elem = build_reference_element(order)
+    fractions = 0.5 * (elem.edge_q + 1.0)
+    records = []
+    for edge in mesh.boundary_edges:
+        owner = int(mesh.edge_elems[edge, 0])
+        a, b, length, nbar = _edge_frame(mesh, edge, owner)
+        xbar = a + fractions[:, None] * (b - a)
+        n = np.repeat(nbar[None, :], xbar.shape[0], axis=0)
+        seg = (
+            geometry.segment(xbar)
+            if geometry is not None
+            else np.zeros(xbar.shape[0], dtype=np.int64)
+        )
+        rs = mesh.to_reference(owner, xbar)
+        records.append(
+            EdgeRecords(
+                edge=int(edge), elem=owner, length=length, nbar=nbar,
+                w=0.5 * length * elem.edge_w, xbar=xbar, x=xbar.copy(),
+                d=np.zeros_like(xbar), n=n,
+                t=np.column_stack([-n[:, 1], n[:, 0]]),
+                rs_bar=rs, rs_map=rs.copy(), segment=seg,
+            )
+        )
+    return records
+
+
+def oracle_records(domain):
+    if domain.mode == "conformal":
+        return oracle_conformal_surrogate(
+            domain.mesh, domain.geometry, domain.order
+        )
+    return oracle_build_surrogate(
+        domain.mesh, domain.geometry, domain.mode, domain.mapping_kind,
+        domain.order,
+    )
+
+
+# ---------------------------------------------------------------------------
+
+
+def assert_records_match(records, expected):
+    assert isinstance(records, list)
+    assert len(records) == len(expected)
+    for rec, ref in zip(records, expected):
+        assert type(rec.edge) is int and type(rec.elem) is int
+        assert (rec.edge, rec.elem) == (ref.edge, ref.elem)
+        assert type(rec.length) is float
+        for field in dataclasses.fields(EdgeRecords)[2:]:
+            got = np.asarray(getattr(rec, field.name))
+            want = np.asarray(getattr(ref, field.name))
+            assert got.shape == want.shape and got.dtype == want.dtype, field
+            if field.name == "segment":
+                np.testing.assert_array_equal(got, want)
+                continue
+            scale = np.abs(want).max()
+            np.testing.assert_allclose(
+                got, want, rtol=1e-14, atol=1e-14 * scale, err_msg=field.name
+            )
+
+
+METHODS = ("cbm", "sbm-e", "sbm-ei", "sbm-i")
+
+
+@pytest.mark.parametrize("order", [1, 2, 5])
+@pytest.mark.parametrize("lc", [0.2, 0.1])
+@pytest.mark.parametrize("method", METHODS)
+def test_disk_records_match_per_edge_builder(method, lc, order):
+    domain = disk_fixture(method, lc, order)
+    assert_records_match(domain.records, oracle_records(domain))
+    if method != "cbm":
+        domain = embedded_disk_fixture(method, lc, order)
+        assert_records_match(domain.records, oracle_records(domain))
+
+
+@pytest.mark.parametrize("order", [1, 2, 5])
+@pytest.mark.parametrize("method", ["sbm-e", "sbm-ei", "sbm-i"])
+def test_square_with_hole_records_match_per_edge_builder(method, order):
+    domain, geometry = square_with_hole_fixture(method, 0.2, order)
+    assert_records_match(domain.records, oracle_records(domain))
+
+
+def test_conformal_records_without_geometry_match():
+    mesh = generate_structured_square(0.25, 1.0, 1.0, (0.0, 0.0))
+    domain = conformal_surrogate(mesh, None, 2)
+    assert_records_match(domain.records, oracle_records(domain))
+
+
+def test_closest_point_fallback_logs_the_same_warnings(caplog):
+    # the disk reaches past the mesh hull, so hull edges of elements the
+    # boundary never cuts have no arc to map onto
+    mesh = generate_structured_square(0.1, 1.0, 1.0, (0.0, 0.0))
+    circle = Circle((0.5, 0.5), 0.6)
+    with caplog.at_level(logging.WARNING, logger="sembed.embedding"):
+        domain = build_surrogate(
+            mesh, circle, "interpolation", "in_element_equidistant", 3
+        )
+        got = [r.getMessage() for r in caplog.records]
+        caplog.clear()
+        expected = oracle_records(domain)
+        want = [r.getMessage() for r in caplog.records]
+    assert len(got) > 0 and got == want
+    assert all("falling back to closest-point mapping" in m for m in got)
+    assert_records_match(domain.records, expected)
+
+
+def _problems(geometry):
+    mms = ManufacturedSolution(wavenumber=1)
+    forcing = mms.forcing(0.0)
+    q = mms.normal_derivative(geometry)
+    yield BoundaryProblem([DirichletBC(mms.u, form="nitsche_nonsym")], forcing)
+    yield BoundaryProblem(
+        [NeumannBC(q, form="standard")], mms.forcing(1.0), alpha=1.0
+    )
+    yield BoundaryProblem(
+        [RobinBC(mms.u, q, eps=0.5, form="nitsche_full_condition")], forcing
+    )
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_assembly_from_oracle_records_agrees(method):
+    domain = disk_fixture(method, 0.2, 2)
+    oracle = dataclasses.replace(domain, records=oracle_records(domain))
+    for problem in _problems(domain.geometry):
+        got, want = assemble(domain, problem), assemble(oracle, problem)
+        scale = abs(want.matrix).max()
+        assert abs(got.matrix - want.matrix).max() <= 1e-12 * scale
+        np.testing.assert_allclose(
+            got.rhs, want.rhs, rtol=0, atol=1e-12 * np.abs(want.rhs).max()
+        )
+
+
+centres = st.tuples(
+    st.floats(min_value=0.35, max_value=0.65),
+    st.floats(min_value=0.35, max_value=0.65),
+)
+MESH = generate_structured_square(0.1, 1.0, 1.0, (0.0, 0.0))
+
+
+def _crossed_twice(circle, elems):
+    # elements with a side whose ends are both outside the disk but which
+    # the circle still crosses (twice): vertex signs do not see these cuts,
+    # no candidate arc passes the owner test, and the map falls to the
+    # chord-length samples of _arc_points
+    pa = MESH.vertices[MESH.elements[elems]].reshape(-1, 2)
+    pb = np.roll(pa.reshape(-1, 3, 2), -1, axis=1).reshape(-1, 2)
+    v = pb - pa
+    t = np.clip(np.einsum("ij,ij->i", circle.center - pa, v)
+                / np.einsum("ij,ij->i", v, v), 0.0, 1.0)
+    closest = pa + t[:, None] * v
+    outside = (circle.phi(pa) < 0) & (circle.phi(pb) < 0)
+    return (outside & (circle.phi(closest) > 0)).reshape(-1, 3).any(axis=1)
+
+
+@settings(max_examples=25, deadline=None)
+@given(centres, st.sampled_from(["sbm-e", "sbm-ei", "sbm-i"]))
+@example((0.5, 0.3828125), "sbm-i")  # an owner side crossed twice
+def test_mapped_points_lie_on_the_circle(centre, method):
+    circle = Circle(centre, 0.3)
+    mode, kind = {
+        "sbm-e": ("extrapolation", "closest_point"),
+        "sbm-ei": ("interpolation", "closest_point"),
+        "sbm-i": ("interpolation", "in_element_equidistant"),
+    }[method]
+    domain = build_surrogate(MESH, circle, mode, kind, 2)
+    owners = np.array([rec.elem for rec in domain.records])
+    # chord-length samples sit inside the circle by their sag
+    exact = ~_crossed_twice(circle, owners) | (kind == "closest_point")
+    x = np.concatenate([rec.x for rec, e in zip(domain.records, exact) if e])
+    assert exact.mean() > 0.9
+    assert np.abs(circle.phi(x)).max() <= 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(centres)
+@example((0.361328125, 0.35))  # an owner side crossed twice
+@example((0.5, 0.5))  # circle through mesh vertices: fallbacks
+def test_in_element_map_midpoints_lie_in_their_owner(centre):
+    circle = Circle(centre, 0.3)
+    fallback = []
+    handler = logging.Handler()
+    handler.emit = lambda record: fallback.append(record.args[0])
+    logger = logging.getLogger("sembed.embedding")
+    logger.addHandler(handler)
+    try:
+        domain = build_surrogate(
+            MESH, circle, "interpolation", "in_element_equidistant", 3
+        )
+    finally:
+        logger.removeHandler(handler)
+    mapped = [rec for rec in domain.records if rec.edge not in fallback]
+    assert len(mapped) > 0.9 * len(domain.records)
+    # order 3 has five edge quadrature points; the middle one sits at arc
+    # fraction 1/2
+    mid = np.array([rec.x[2] for rec in mapped])
+    owners = np.array([rec.elem for rec in mapped])
+    rs = MESH.to_reference(owners, mid[:, None]).reshape(-1, 2)
+    outside = barycentric(rs).min(axis=1) < -1e-6
+    # the only exceptions are owners with a side the circle crosses twice,
+    # where two vertex-sign roots do not bound the arc inside the element
+    assert _crossed_twice(circle, owners[outside]).all()
