@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+import sembed.experiments as experiments
+import sembed.solve as solve_module
 from sembed.assembly import BoundaryProblem, DirichletBC, assemble
 from sembed.embedding import conformal_surrogate
 from sembed.geometry import Circle
@@ -69,3 +72,123 @@ def test_unknown_cond_method_rejected():
     d = sp.eye(3, format="csr")
     with pytest.raises(ValueError):
         condition_number(d, "magic")
+
+
+# -- condition numbers from the solve's LU ---------------------------------
+
+def dense_svd_cond(matrix):
+    """Test oracle: the exact 2-norm condition number from a dense SVD."""
+    sv = np.linalg.svd(matrix.toarray(), compute_uv=False)
+    return sv[0] / sv[-1]
+
+
+@pytest.fixture(scope="module")
+def embedding_matrices():
+    """The 30 systems of the benchmark's random_embedding pass (seed 0)."""
+    matrices = []
+
+    def record(system, compute_cond=True):
+        matrices.append(system.matrix)
+        return solve_direct(system, compute_cond=False)
+
+    mp = pytest.MonkeyPatch()
+    mp.setattr(experiments, "solve_direct", record)
+    try:
+        experiments.random_embedding_assessment(n_circles=5, orders=(3, 5), seed=0)
+    finally:
+        mp.undo()
+    return matrices
+
+
+@pytest.fixture(scope="module")
+def large_system():
+    system, _ = small_system(order=2, lc=0.025)
+    assert system.rhs.size > SVD_LIMIT
+    return system
+
+
+def test_exact_cond_matches_dense_svd(embedding_matrices):
+    assert len(embedding_matrices) == 30
+    conds = []
+    for matrix in embedding_matrices:
+        assert matrix.shape[0] > solve_module.DENSE_LIMIT  # the ARPACK path
+        cond = condition_number(matrix, "svd")
+        assert cond == pytest.approx(dense_svd_cond(matrix), rel=1e-8)
+        conds.append(cond)
+    assert max(conds) > 1e7
+
+
+def test_exact_cond_is_deterministic(embedding_matrices):
+    matrix = embedding_matrices[-1]
+    first = condition_number(matrix, "svd")
+    assert condition_number(matrix, "svd") == first
+    lu = spla.splu(sp.csc_matrix(matrix))
+    assert condition_number(matrix, "svd", lu=lu) == first
+
+
+def test_dense_cutoff_paths_agree():
+    rng = np.random.default_rng(1)
+    for n in (solve_module.DENSE_LIMIT, solve_module.DENSE_LIMIT + 1):
+        matrix = sp.csr_matrix(rng.standard_normal((n, n)) + 4.0 * np.eye(n))
+        assert condition_number(matrix, "svd") == pytest.approx(
+            dense_svd_cond(matrix), rel=1e-8)
+
+
+@pytest.mark.parametrize("size", ["small", "large"])
+def test_solve_direct_factorizes_once(monkeypatch, size, large_system):
+    system = small_system()[0] if size == "small" else large_system
+    calls = []
+    splu = spla.splu
+
+    def counting_splu(*args, **kwargs):
+        calls.append(args[0].shape)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(solve_module.spla, "splu", counting_splu)
+    report = solve_direct(system)
+    assert len(calls) == 1
+    expected = "svd" if size == "small" else "one_norm_estimate"
+    assert report.cond_method == expected
+    assert np.isfinite(report.cond)
+
+
+def test_solution_bitwise_equal_to_plain_splu():
+    system, _ = small_system(order=3)
+    a = sp.csc_matrix(system.matrix)
+    expected = spla.splu(a).solve(np.asarray(system.rhs, dtype=float))
+    for compute_cond in (True, False):
+        u = solve_direct(system, compute_cond=compute_cond).u
+        assert np.array_equal(u, expected)
+
+
+@pytest.mark.parametrize("size", ["small", "large"])
+def test_solve_direct_reports_condition_number_call(monkeypatch, size, large_system):
+    system = small_system()[0] if size == "small" else large_system
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append((args, kwargs))
+        return 123.5
+
+    monkeypatch.setattr(solve_module, "condition_number", spy)
+    report = solve_direct(system)
+    assert len(seen) == 1
+    args, kwargs = seen[0]
+    assert sp.issparse(args[0]) and args[0].shape == system.matrix.shape
+    assert abs(args[0] - system.matrix).max() == 0
+    assert args[1] == report.cond_method
+    assert isinstance(kwargs["lu"], spla.SuperLU)
+    assert report.cond == 123.5
+
+
+def test_explicit_svd_above_limit_within_estimate(large_system):
+    exact = condition_number(large_system.matrix, "svd")
+    estimate = condition_number(large_system.matrix, "one_norm_estimate")
+    assert estimate / 10.0 <= exact <= estimate
+
+
+@pytest.mark.parametrize("method", ["svd", "one_norm_estimate"])
+@pytest.mark.parametrize("n", [3, 50])
+def test_singular_matrix_is_infinite(method, n):
+    diagonal = np.arange(n, dtype=float)  # a zero pivot in the first column
+    assert condition_number(sp.diags(diagonal).tocsr(), method) == np.inf
