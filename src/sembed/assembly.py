@@ -34,7 +34,7 @@ MIN_NORMAL_ALIGNMENT = 0.05
 
 @dataclass(frozen=True)
 class DirichletBC:
-    data: object  # callable(x)->values, per-edge dict, or scalar
+    data: object  # callable(x)->values, (n_rec, nq) array, or scalar
     form: str = "nitsche_nonsym"
     where: object = None  # None, segment id, or predicate on midpoints
 
@@ -139,12 +139,14 @@ def build_dof_map(domain: SurrogateDomain):
     return loc2glob, points.reshape(-1, 2)[is_head]
 
 
-def _eval_field(data, rec, points):
+def _eval_field(data, rec, sel):
+    """Boundary data at the mapped points of `rec`, the sub-table `sel` of
+    the domain's records: `data` is a callable of (m, 2) points, an
+    (n_rec, nq) array over all records, or a scalar."""
     if callable(data):
-        return np.asarray(data(points), dtype=float)
-    if isinstance(data, dict):
-        return np.asarray(data[rec.edge], dtype=float)
-    return np.full(points.shape[0], float(data))
+        return np.asarray(data(rec.x.reshape(-1, 2)), dtype=float).reshape(rec.w.shape)
+    data = np.asarray(data, dtype=float)
+    return data[sel] if data.ndim else np.full(rec.w.shape, float(data))
 
 
 def _takes_normal(data) -> bool:
@@ -159,12 +161,13 @@ def _takes_normal(data) -> bool:
     return True
 
 
-def _eval_flux(data, rec, takes_normal):
+def _eval_flux(data, rec, sel):
     """Flux data q = grad(u) . n; callables may take (x, n) so the conformal
     path gets the surrogate normal and the shifted path the true one."""
-    if takes_normal:
-        return np.asarray(data(rec.x, rec.n), dtype=float)
-    return _eval_field(data, rec, rec.x)
+    if _takes_normal(data):
+        q = data(rec.x.reshape(-1, 2), rec.n.reshape(-1, 2))
+        return np.asarray(q, dtype=float).reshape(rec.w.shape)
+    return _eval_field(data, rec, sel)
 
 
 class _Accumulator:
@@ -190,16 +193,81 @@ class _Accumulator:
 
 def _elem_traces(domain, elem, rec):
     """Basis values/normal derivatives at x_bar and at the mapped x: the
-    record's rows of the domain's trace table. `assemble` takes every
-    record's traces through this one function."""
+    record's rows of the domain's trace table, found from its edge, as the
+    records are in ascending edge order. `assemble` takes every record's
+    traces through this one function."""
     traces = domain.traces
-    rows = traces.rows[rec.edge]
-    return (
-        traces.vbar[rows],
-        traces.vmap[rows],
-        traces.gbarn[rows],
-        traces.gmapn[rows],
-    )
+    i = np.searchsorted(domain.records.edge, rec.edge)
+    return traces.vbar[i], traces.vmap[i], traces.gbarn[i], traces.gmapn[i]
+
+
+def _condition_terms(cond, rec, sel, traces, gamma):
+    """Boundary blocks (m, n_p, n_p) and load vectors (m, n_p, 1) of the m
+    records rec = records[sel] on which `cond` holds, from their traces
+    (m, nq, n_p) and penalties gamma (m,). np.matmul over the record axis
+    keeps each record's products, and every expression keeps the operation
+    order of one record's, so a batch is bitwise equal to its records."""
+    vbar, vmap, gbarn, gmapn = traces
+    m, _, n_p = vbar.shape
+    w = rec.w
+
+    def col(v):
+        return v[..., None]
+
+    def tr(a):
+        return np.swapaxes(a, 1, 2)
+
+    g = gamma[:, None, None]
+    block = np.zeros((m, n_p, n_p))
+    bvec = np.zeros((m, n_p, 1))
+    block -= tr(vbar * col(w)) @ gbarn
+
+    if isinstance(cond, DirichletBC):
+        ud = _eval_field(cond.data, rec, sel)
+        test = vmap if cond.form == "nitsche_sym" else vbar
+        block += tr(test * col(w)) @ vmap / g
+        load = tr(test) @ col(w * ud) / g
+        if cond.form != "aubin":
+            block -= tr(gbarn * col(w)) @ vmap
+            load = load - tr(gbarn) @ col(w * ud)
+        bvec += load
+        return block, bvec
+
+    nn = (rec.nbar[:, None] * rec.n).sum(axis=2)
+    if isinstance(cond, NeumannBC):
+        qn = _eval_flux(cond.data, rec, sel)
+        block += tr(vbar * col(w * nn)) @ gmapn
+        bvec += tr(vbar) @ col(w * nn * qn)
+        if cond.form == "with_symmetric_penalty":
+            block -= g * tr(gbarn * col(w * nn)) @ gmapn
+            bvec -= g * tr(gbarn) @ col(w * nn * qn)
+        return block, bvec
+
+    ud = _eval_field(cond.u_data, rec, sel)
+    qn = _eval_flux(cond.q_data, rec, sel)
+    eps = _eval_field(cond.eps, rec, sel)
+    if np.any(eps <= 0):
+        raise ValueError("Robin eps must be positive on the boundary")
+    test = vmap / g
+    if cond.form != "aubin":
+        test = test - gbarn
+    gq = gamma[:, None]  # per quadrature point
+    if cond.form == "nitsche_corrected_coeffs":
+        if np.any(nn < MIN_NORMAL_ALIGNMENT):
+            raise ValueError(
+                "corrected-coefficients Robin needs nbar.n >= "
+                f"{MIN_NORMAL_ALIGNMENT}; use nitsche_full_condition"
+            )
+        gq = nn * gq
+    c1 = gq / (gq + eps)
+    c2 = gq * eps / (gq + eps)
+    if cond.form == "inconsistent":
+        c2 = c2 * nn
+    qdat = c2 * qn
+    block += tr(test * col(w * c1)) @ vmap
+    block += tr(test * col(w * c2)) @ gmapn
+    bvec += tr(test) @ col(w * c1 * ud) + tr(test) @ col(w * qdat)
+    return block, bvec
 
 
 def _match_condition(problem, rec):
@@ -255,108 +323,48 @@ def assemble(
 
     h_avg = domain.h_avg
     gamma_global = problem.gamma if problem.gamma is not None else h_avg / 2.0
-    takes_normal = {
-        id(c): _takes_normal(c.data if isinstance(c, NeumannBC) else c.q_data)
-        for c in problem.conditions
-        if isinstance(c, (NeumannBC, RobinBC))
-    }
+    records = domain.records
+    matched, traces = [], []
+    for rec in records:
+        matched.append(_match_condition(problem, rec))
+        traces.append(_elem_traces(domain, elem, rec))
+    traces = [np.stack(t) for t in zip(*traces)]
+    tagged = np.array([c is not None for c in matched])
 
-    untagged = []
-    for rec in domain.records:
-        cond = _match_condition(problem, rec)
-        if cond is None:
-            untagged.append(rec.edge)
-            continue
+    lam = np.abs(barycentric(records.rs_map.reshape(-1, 2)))
+    lam = lam.reshape(len(records), -1).max(axis=1)
+    far = np.flatnonzero(tagged & (lam > EXTRAPOLATION_GUARD))
+    if far.size:
+        i = far[0]
+        raise ValueError(
+            f"edge {records.edge[i]}: mapped point far outside element "
+            f"{records.elem[i]} (barycentric magnitude "
+            f"{lam[i]:.2f} > {EXTRAPOLATION_GUARD})"
+        )
 
-        lam = barycentric(rec.rs_map)
-        if np.abs(lam).max() > EXTRAPOLATION_GUARD:
-            raise ValueError(
-                f"edge {rec.edge}: mapped point far outside element "
-                f"{rec.elem} (barycentric magnitude "
-                f"{np.abs(lam).max():.2f} > {EXTRAPOLATION_GUARD})"
+    if problem.gamma_scaling == "local":
+        c_gamma = problem.gamma if problem.gamma is not None else 0.5
+        gamma = c_gamma * mesh.h_elem[records.elem]
+    else:
+        gamma = np.full(len(records), gamma_global)
+
+    blocks = np.zeros((len(records), elem.n_points, elem.n_points))
+    bvecs = np.zeros((len(records), elem.n_points, 1))
+    for cond in problem.conditions:
+        sel = np.flatnonzero([c is cond for c in matched])
+        if sel.size:
+            blocks[sel], bvecs[sel] = _condition_terms(
+                cond, records[sel], sel, [t[sel] for t in traces], gamma[sel]
             )
 
-        if problem.gamma_scaling == "local":
-            c_gamma = problem.gamma if problem.gamma is not None else 0.5
-            gamma = c_gamma * float(mesh.h_elem[rec.elem])
-        else:
-            gamma = gamma_global
-
-        vbar, vmap, gbarn, gmapn = _elem_traces(domain, elem, rec)
-        gdofs = loc2glob[domain.active_row[rec.elem]]
-        w = rec.w
-        block = np.zeros((elem.n_points, elem.n_points))
-        bvec = np.zeros(elem.n_points)
-
-        if isinstance(cond, DirichletBC):
-            ud = _eval_field(cond.data, rec, rec.x)
-            block -= (vbar * w[:, None]).T @ gbarn
-            if cond.form == "nitsche_nonsym":
-                block += (vbar * w[:, None]).T @ vmap / gamma
-                block -= (gbarn * w[:, None]).T @ vmap
-                bvec += vbar.T @ (w * ud) / gamma - gbarn.T @ (w * ud)
-            elif cond.form == "nitsche_sym":
-                block += (vmap * w[:, None]).T @ vmap / gamma
-                block -= (gbarn * w[:, None]).T @ vmap
-                bvec += vmap.T @ (w * ud) / gamma - gbarn.T @ (w * ud)
-            else:  # aubin
-                block += (vbar * w[:, None]).T @ vmap / gamma
-                bvec += vbar.T @ (w * ud) / gamma
-
-        elif isinstance(cond, NeumannBC):
-            qn = _eval_flux(cond.data, rec, takes_normal[id(cond)])
-            nn = (rec.nbar * rec.n).sum(axis=1)
-            block -= (vbar * w[:, None]).T @ gbarn
-            block += (vbar * (w * nn)[:, None]).T @ gmapn
-            bvec += vbar.T @ (w * nn * qn)
-            if cond.form == "with_symmetric_penalty":
-                block -= gamma * (gbarn * (w * nn)[:, None]).T @ gmapn
-                bvec -= gamma * gbarn.T @ (w * nn * qn)
-
-        elif isinstance(cond, RobinBC):
-            ud = _eval_field(cond.u_data, rec, rec.x)
-            qn = _eval_flux(cond.q_data, rec, takes_normal[id(cond)])
-            eps = _eval_field(cond.eps, rec, rec.x)
-            if np.any(eps <= 0):
-                raise ValueError("Robin eps must be positive on the boundary")
-            nn = (rec.nbar * rec.n).sum(axis=1)
-
-            test = vmap / gamma
-            if cond.form != "aubin":
-                test = test - gbarn
-            block -= (vbar * w[:, None]).T @ gbarn
-
-            if cond.form == "inconsistent":
-                c1 = gamma / (gamma + eps)
-                c2 = gamma * eps / (gamma + eps) * nn
-                qdat = c2 * qn
-            elif cond.form == "nitsche_corrected_coeffs":
-                if np.any(nn < MIN_NORMAL_ALIGNMENT):
-                    raise ValueError(
-                        "corrected-coefficients Robin needs nbar.n >= "
-                        f"{MIN_NORMAL_ALIGNMENT}; use nitsche_full_condition"
-                    )
-                gb = nn * gamma
-                c1 = gb / (gb + eps)
-                c2 = gb * eps / (gb + eps)
-                qdat = c2 * qn
-            else:  # nitsche_full_condition, aubin
-                c1 = gamma / (gamma + eps)
-                c2 = gamma * eps / (gamma + eps)
-                qdat = c2 * qn
-
-            block += (test * (w * c1)[:, None]).T @ vmap
-            block += (test * (w * c2)[:, None]).T @ gmapn
-            bvec += test.T @ (w * c1 * ud) + test.T @ (w * qdat)
-
-        acc.add(gdofs[None], block[None])
-        rhs[gdofs] += bvec
-
-    if untagged:
+    if not tagged.all():
         raise ValueError(
             f"surrogate boundary edges without a boundary condition: "
-            f"{sorted(untagged)}"
+            f"{records.edge[~tagged].tolist()}"
         )
+    gdofs = loc2glob[domain.active_row[records.elem]]
+    acc.add(gdofs, blocks)
+    np.add.at(rhs, gdofs, bvecs[..., 0])
 
     matrix = acc.matrix(n_dof)
     if problem.pin is not None:

@@ -9,7 +9,7 @@ point x on the true boundary, the distance vector d, and both normal frames).
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -42,34 +42,41 @@ def classify_elements(mesh: TriMesh, geometry: ImplicitGeometry) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EdgeRecords:
-    """Mapping records for one surrogate boundary edge."""
+    """Mapping records of the surrogate boundary edges, one per edge in
+    ascending edge order, every field stacked with the record on axis 0.
+    `records[i]` is record i (axis 0 dropped) and `records[sel]` the
+    sub-table of the records `sel`."""
 
-    edge: int
-    elem: int
-    length: float
-    nbar: np.ndarray  # outward surrogate normal, constant on the edge
-    w: np.ndarray  # arc-length quadrature weights, sum = length
-    xbar: np.ndarray  # (nq, 2) quadrature points on the edge
-    x: np.ndarray  # (nq, 2) mapped points on the true boundary
+    edge: np.ndarray  # (n_rec,) surrogate edge
+    elem: np.ndarray  # (n_rec,) owning element
+    length: np.ndarray  # (n_rec,)
+    nbar: np.ndarray  # (n_rec, 2) outward surrogate normal, constant on the edge
+    w: np.ndarray  # (n_rec, nq) arc-length quadrature weights, sum = length
+    xbar: np.ndarray  # (n_rec, nq, 2) quadrature points on the edge
+    x: np.ndarray  # (n_rec, nq, 2) mapped points on the true boundary
     d: np.ndarray  # x - xbar
     n: np.ndarray  # true outward normal at x
     t: np.ndarray  # tangent at x
     rs_bar: np.ndarray  # reference image of xbar in the owning element
     rs_map: np.ndarray  # reference image of x in the owning element
-    segment: np.ndarray  # boundary segment ids at x
+    segment: np.ndarray  # (n_rec, nq) boundary segment ids at x
+
+    def __len__(self):
+        return len(self.edge)
+
+    def __getitem__(self, sel):
+        return EdgeRecords(*(getattr(self, f.name)[sel] for f in fields(self)))
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
 
 
 @dataclass(frozen=True)
 class BoundaryTraces:
-    """Owner-element basis traces at every record's quadrature points.
+    """Owner-element basis traces at every record's quadrature points,
+    shaped (n_rec, nq, n_p): records, their quadrature points, the owner's
+    nodal basis functions."""
 
-    Rows stack the records in order, one row per quadrature point; columns
-    are the owner's nodal basis functions. `rows[edge]` is the slice of the
-    record on surrogate edge `edge`.
-    """
-
-    rows: dict  # surrogate edge -> slice of its record's rows
-    owner: np.ndarray  # (nq_total,) owning element of each row
     vbar: np.ndarray  # basis values at x_bar
     vmap: np.ndarray  # basis values at the mapped x
     gbarn: np.ndarray  # grad(basis) . nbar at x_bar
@@ -79,27 +86,22 @@ class BoundaryTraces:
 def _boundary_traces(domain: SurrogateDomain) -> BoundaryTraces:
     elem = build_reference_element(domain.order)
     records = domain.records
-    counts = [rec.w.size for rec in records]
-    bounds = np.cumsum([0] + counts).tolist()
-    rows = {rec.edge: slice(lo, hi) for rec, lo, hi in zip(records, bounds, bounds[1:])}
-    owner = np.repeat([rec.elem for rec in records], counts)
-    binv = domain.mesh.affine_b_inv[owner]
-    nbar = np.repeat([rec.nbar for rec in records], counts, axis=0)
-    n = np.concatenate([rec.n for rec in records])
-    rs_bar = np.concatenate([rec.rs_bar for rec in records])
-    rs_map = np.concatenate([rec.rs_map for rec in records])
+    n_rec, nq = records.w.shape
+    binv = np.repeat(domain.mesh.affine_b_inv[records.elem], nq, axis=0)
+    nbar = np.repeat(records.nbar, nq, axis=0)
+    n = records.n.reshape(-1, 2)
+    rs_bar = records.rs_bar.reshape(-1, 2)
+    rs_map = records.rs_map.reshape(-1, 2)
 
     def normal_derivative(rs, normal):
         gr, gs = elem.eval_basis_grad(rs[:, 0], rs[:, 1])
         gx = gr * binv[:, 0, 0:1] + gs * binv[:, 1, 0:1]
         gy = gr * binv[:, 0, 1:2] + gs * binv[:, 1, 1:2]
-        return gx * normal[:, 0:1] + gy * normal[:, 1:2]
+        return (gx * normal[:, 0:1] + gy * normal[:, 1:2]).reshape(n_rec, nq, -1)
 
     return BoundaryTraces(
-        rows=rows,
-        owner=owner,
-        vbar=elem.eval_basis(rs_bar[:, 0], rs_bar[:, 1]),
-        vmap=elem.eval_basis(rs_map[:, 0], rs_map[:, 1]),
+        vbar=elem.eval_basis(rs_bar[:, 0], rs_bar[:, 1]).reshape(n_rec, nq, -1),
+        vmap=elem.eval_basis(rs_map[:, 0], rs_map[:, 1]).reshape(n_rec, nq, -1),
         gbarn=normal_derivative(rs_bar, nbar),
         gmapn=normal_derivative(rs_map, n),
     )
@@ -113,7 +115,7 @@ class SurrogateDomain:
     mapping_kind: str
     order: int
     active: np.ndarray  # active element indices
-    records: list
+    records: EdgeRecords
 
     @property
     def n_active(self) -> int:
@@ -147,17 +149,17 @@ class SurrogateDomain:
         return float(self.active_edge_lengths().mean())
 
     def dump_csv(self, path):
+        rec = self.records
+        nq = rec.w.shape[1]
+        columns = (
+            np.repeat(rec.edge, nq), np.repeat(rec.elem, nq),
+            *rec.xbar.reshape(-1, 2).T, *rec.x.reshape(-1, 2).T,
+            *np.repeat(rec.nbar, nq, axis=0).T, *rec.n.reshape(-1, 2).T,
+        )
         with open(path, "w") as f:
             f.write("edge,elem,xbar_x,xbar_y,x_x,x_y,nbar_x,nbar_y,n_x,n_y\n")
-            for rec in self.records:
-                for k in range(rec.xbar.shape[0]):
-                    f.write(
-                        f"{rec.edge},{rec.elem},"
-                        f"{rec.xbar[k, 0]},{rec.xbar[k, 1]},"
-                        f"{rec.x[k, 0]},{rec.x[k, 1]},"
-                        f"{rec.nbar[0]},{rec.nbar[1]},"
-                        f"{rec.n[k, 0]},{rec.n[k, 1]}\n"
-                    )
+            for row in zip(*(c.tolist() for c in columns)):
+                f.write(",".join(map(str, row)) + "\n")
 
 
 def _check_connected(mesh: TriMesh, active: np.ndarray) -> None:
@@ -187,11 +189,10 @@ def _surrogate_edges(mesh: TriMesh, keep_elem: np.ndarray):
 
 
 def _edge_records(mesh: TriMesh, geometry, mapping_kind, edges, owners,
-                  order: int) -> list:
-    """Records of the surrogate edges `edges` owned by `owners`, in that
-    order. Every field is computed once over all edges, stacked per edge,
-    and split into one EdgeRecords per edge at the end. The 'identity'
-    mapping keeps x = x_bar and n = n_bar."""
+                  order: int) -> EdgeRecords:
+    """The record table of the surrogate edges `edges` owned by `owners`,
+    in that order. Every field is computed once over all edges. The
+    'identity' mapping keeps x = x_bar and n = n_bar."""
     ref = build_reference_element(order)
     fractions = 0.5 * (ref.edge_q + 1.0)
     a = mesh.vertices[mesh.edges[edges, 0]]
@@ -220,12 +221,11 @@ def _edge_records(mesh: TriMesh, geometry, mapping_kind, edges, owners,
         if geometry is not None
         else np.zeros(x.shape[:2], dtype=np.int64)
     )
-    fields = zip(
-        edges.tolist(), owners.tolist(), length.tolist(), nbar,
-        0.5 * length[:, None] * ref.edge_w, xbar, x, x - xbar, n, t,
-        mesh.to_reference(owners, xbar), mesh.to_reference(owners, x), segment,
+    return EdgeRecords(
+        edges, owners, length, nbar, 0.5 * length[:, None] * ref.edge_w, xbar, x,
+        x - xbar, n, t, mesh.to_reference(owners, xbar),
+        mesh.to_reference(owners, x), segment,
     )
-    return [EdgeRecords(*f) for f in fields]
 
 
 def _boundary_crossings(mesh: TriMesh, geometry, elems):

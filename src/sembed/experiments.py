@@ -255,13 +255,11 @@ def aligned_degeneration(lc=0.2, order=2, bc="dirichlet", form=None):
         if method == "cbm":
             continue
         domain = _surrogate(method, mesh, geometry, order)
-        degenerate = tuple(
-            replace(
-                rec, x=rec.xbar, d=np.zeros_like(rec.d),
-                n=np.broadcast_to(rec.nbar, rec.n.shape).copy(),
-                rs_map=rec.rs_bar,
-            )
-            for rec in domain.records
+        rec = domain.records
+        degenerate = replace(
+            rec, x=rec.xbar, d=np.zeros_like(rec.d),
+            n=np.broadcast_to(rec.nbar[:, None], rec.n.shape).copy(),
+            rs_map=rec.rs_bar,
         )
         domain = replace(domain, records=degenerate)
         system = assemble(domain, problem)

@@ -9,6 +9,7 @@ domain.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -96,13 +97,11 @@ def residual_l1(system, u_vec) -> float:
 
 
 def _mapped_values(domain, system, u_vec, table):
-    """Per-edge arrays of u_h's trace at the mapped points, taken from the
-    owning element's polynomial: its values for `table` = the domain's
+    """u_h's trace (n_rec, nq) at the mapped points, taken from the owning
+    element's polynomial: its values for `table` = the domain's
     `traces.vmap`, grad(u_h) . n for `traces.gmapn`."""
-    traces = domain.traces
-    local = u_vec[system.loc2glob[domain.active_row[traces.owner]]]
-    vals = np.einsum("qk,qk->q", table, local)
-    return {edge: vals[rows] for edge, rows in traces.rows.items()}
+    local = u_vec[system.loc2glob[domain.active_row[domain.records.elem]]]
+    return np.einsum("rqk,rk->rq", table, local)
 
 
 def ap_cascade(
@@ -125,49 +124,29 @@ def ap_cascade(
     """
     if m_max > 2:
         raise ValueError("cascade depth is limited to m_max = 2")
-    if limit not in ("dirichlet", "neumann"):
+    if limit == "dirichlet":
+        condition, data, other = partial(DirichletBC, form="aubin"), u_data, q_data
+        table = domain.traces.gmapn
+    elif limit == "neumann":
+        condition, data, other = partial(NeumannBC, form="standard"), q_data, u_data
+        table = domain.traces.vmap
+        alpha = alpha if alpha > 0 else 1.0
+    else:
         raise ValueError(f"unknown limit {limit!r}")
 
     modes = []
     base = None
     for m in range(m_max + 1):
-        f = forcing if m == 0 else 0.0
-        if limit == "dirichlet":
-            if m == 0:
-                data = u_data
-            elif m == 1:
-                dn0 = _mapped_values(domain, base, modes[0], domain.traces.gmapn)
-                data = {
-                    rec.edge: _eval_field(q_data, rec, rec.x) - dn0[rec.edge]
-                    for rec in domain.records
-                }
-            else:
-                dn1 = _mapped_values(domain, base, modes[1], domain.traces.gmapn)
-                data = {e: -dn1[e] for e in dn1}
-            problem = BoundaryProblem(
-                conditions=[DirichletBC(data, form="aubin")],
-                forcing=f,
-                alpha=alpha,
-                gamma=gamma,
-            )
-        else:
-            if m == 0:
-                data = q_data
-            elif m == 1:
-                tr0 = _mapped_values(domain, base, modes[0], domain.traces.vmap)
-                data = {
-                    rec.edge: _eval_field(u_data, rec, rec.x) - tr0[rec.edge]
-                    for rec in domain.records
-                }
-            else:
-                tr1 = _mapped_values(domain, base, modes[1], domain.traces.vmap)
-                data = {e: -tr1[e] for e in tr1}
-            problem = BoundaryProblem(
-                conditions=[NeumannBC(data, form="standard")],
-                forcing=f,
-                alpha=alpha if alpha > 0 else 1.0,
-                gamma=gamma,
-            )
+        if m > 0:
+            trace = _mapped_values(domain, base, modes[-1], table)
+            data = -trace if m > 1 else (
+                _eval_field(other, domain.records, slice(None)) - trace)
+        problem = BoundaryProblem(
+            conditions=[condition(data)],
+            forcing=forcing if m == 0 else 0.0,
+            alpha=alpha,
+            gamma=gamma,
+        )
         system = assemble(domain, problem)
         report = solve_direct(system, compute_cond=False)
         modes.append(report.u)

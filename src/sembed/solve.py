@@ -67,7 +67,14 @@ def condition_number(matrix, method: str | None = None, lu=None) -> float:
         inv = spla.LinearOperator(
             a.shape, matvec=lu.solve, rmatvec=lambda v: lu.solve(v, trans="T")
         )
-        return float(spla.onenormest(a) * spla.onenormest(inv))
+        # onenormest draws its start vectors from numpy's global RNG: seed
+        # it, so the estimate is reproducible, and leave the caller's state
+        state = np.random.get_state()
+        np.random.seed(0)
+        try:
+            return float(spla.onenormest(a) * spla.onenormest(inv))
+        finally:
+            np.random.set_state(state)
     if n <= DENSE_LIMIT:
         sv = np.linalg.svd(a.toarray(), compute_uv=False)
         return float(sv[0] / sv[-1]) if sv[-1] > 0 else SINGULAR_KAPPA

@@ -199,9 +199,10 @@ def test_corrected_coeffs_guard_on_oblique_record():
     import dataclasses
 
     domain = embedded_domain(order=2, lc=0.15)
-    rec = domain.records[0]
-    bad_n = np.tile(rec.nbar * -1.0, (rec.n.shape[0], 1))  # anti-parallel
-    records = (dataclasses.replace(rec, n=bad_n),) + tuple(domain.records[1:])
+    records = domain.records
+    bad_n = records.n.copy()
+    bad_n[0] = records.nbar[0] * -1.0  # anti-parallel on the first record
+    records = dataclasses.replace(records, n=bad_n)
     domain = dataclasses.replace(domain, records=records)
     mms = ManufacturedSolution(wavenumber=1)
     q = mms.normal_derivative(Circle(CENTER, RADIUS))
@@ -307,6 +308,23 @@ def test_elem_traces_is_the_boundary_seam(monkeypatch):
     hollow = assemble(domain, problem)
     assert abs(hollow.matrix - base.matrix).max() > 0
     assert np.abs(hollow.rhs - base.rhs).max() > 0
+
+
+def test_elem_traces_called_once_per_record(monkeypatch):
+    calls = []
+    elem_traces = assembly_mod._elem_traces
+
+    def counting(dom, elem, rec):
+        calls.append(int(rec.edge))
+        return elem_traces(dom, elem, rec)
+
+    monkeypatch.setattr(assembly_mod, "_elem_traces", counting)
+    domain = embedded_domain(order=2)
+    for form in DIRICHLET_FORMS:
+        calls.clear()
+        assemble(domain, BoundaryProblem(
+            conditions=[DirichletBC(lambda x: x[..., 0], form=form)]))
+        assert calls == domain.records.edge.tolist()
 
 
 def test_traces_evaluated_once_per_domain(monkeypatch):

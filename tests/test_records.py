@@ -215,13 +215,21 @@ def oracle_records(domain):
 # ---------------------------------------------------------------------------
 
 
+def stack(records):
+    """The record table of a list of single records."""
+    return EdgeRecords(*(
+        np.stack([getattr(rec, field.name) for rec in records])
+        for field in dataclasses.fields(EdgeRecords)
+    ))
+
+
 def assert_records_match(records, expected):
-    assert isinstance(records, list)
+    assert isinstance(records, EdgeRecords)
     assert len(records) == len(expected)
+    assert records.edge.dtype == records.elem.dtype == np.int64
+    assert records.length.dtype == np.float64
     for rec, ref in zip(records, expected):
-        assert type(rec.edge) is int and type(rec.elem) is int
         assert (rec.edge, rec.elem) == (ref.edge, ref.elem)
-        assert type(rec.length) is float
         for field in dataclasses.fields(EdgeRecords)[2:]:
             got = np.asarray(getattr(rec, field.name))
             want = np.asarray(getattr(ref, field.name))
@@ -296,7 +304,7 @@ def _problems(geometry):
 @pytest.mark.parametrize("method", METHODS)
 def test_assembly_from_oracle_records_agrees(method):
     domain = disk_fixture(method, 0.2, 2)
-    oracle = dataclasses.replace(domain, records=oracle_records(domain))
+    oracle = dataclasses.replace(domain, records=stack(oracle_records(domain)))
     for problem in _problems(domain.geometry):
         got, want = assemble(domain, problem), assemble(oracle, problem)
         scale = abs(want.matrix).max()

@@ -126,6 +126,20 @@ def test_exact_cond_is_deterministic(embedding_matrices):
     assert condition_number(matrix, "svd", lu=lu) == first
 
 
+def test_one_norm_estimate_is_deterministic(large_system):
+    # the estimator's random start vectors come from a fixed seed, and the
+    # caller's global numpy RNG state is left as it was
+    values = []
+    for seed in (1, 2):
+        np.random.seed(seed)
+        before = np.random.get_state()
+        values.append(condition_number(large_system.matrix, "one_norm_estimate"))
+        after = np.random.get_state()
+        assert after[0] == before[0] and after[2:] == before[2:]
+        assert np.array_equal(after[1], before[1])
+    assert values[0] == values[1]
+
+
 def test_dense_cutoff_paths_agree():
     rng = np.random.default_rng(1)
     for n in (solve_module.DENSE_LIMIT, solve_module.DENSE_LIMIT + 1):
