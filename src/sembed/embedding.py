@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .geometry import Circle, ImplicitGeometry, _rot90
+from .geometry import Circle, ImplicitGeometry
 from .meshing import TriMesh
 from .refelem import barycentric, build_reference_element
 
@@ -56,7 +56,6 @@ class EdgeRecords:
     x: np.ndarray  # (n_rec, nq, 2) mapped points on the true boundary
     d: np.ndarray  # x - xbar
     n: np.ndarray  # true outward normal at x
-    t: np.ndarray  # tangent at x
     rs_bar: np.ndarray  # reference image of xbar in the owning element
     rs_map: np.ndarray  # reference image of x in the owning element
     segment: np.ndarray  # (n_rec, nq) boundary segment ids at x
@@ -208,14 +207,12 @@ def _edge_records(mesh: TriMesh, geometry, mapping_kind, edges, owners,
     if mapping_kind == "identity":
         x = xbar.copy()
         n = np.repeat(nbar[:, None], fractions.size, axis=1)
-        t = _rot90(n)
     else:
         x = geometry.project(flat).reshape(xbar.shape)
         if mapping_kind == "in_element_equidistant":
             _map_in_element(mesh, geometry, edges, owners, v, fractions, x)
         flat = x.reshape(-1, 2)
         n = geometry.normal(flat).reshape(x.shape)
-        t = geometry.tangent(flat).reshape(x.shape)
     segment = (
         geometry.segment(flat).reshape(x.shape[:2])
         if geometry is not None
@@ -223,7 +220,7 @@ def _edge_records(mesh: TriMesh, geometry, mapping_kind, edges, owners,
     )
     return EdgeRecords(
         edges, owners, length, nbar, 0.5 * length[:, None] * ref.edge_w, xbar, x,
-        x - xbar, n, t, mesh.to_reference(owners, xbar),
+        x - xbar, n, mesh.to_reference(owners, xbar),
         mesh.to_reference(owners, x), segment,
     )
 

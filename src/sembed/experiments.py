@@ -177,18 +177,28 @@ def _make_problem(mms, geometry, bc, form, eps=1.0, gamma=None,
     )
 
 
+def _solve(domain, problem, exact_u=None, compute_cond=False):
+    """Assemble and solve `problem` on `domain`. Returns the SolveReport
+    and the L1 error against `exact_u` (NaN without one). Every driver
+    solve comes here, and the calls go through this module's names, so a
+    patch of `assemble` or `solve_direct` here sees all of them."""
+    system = assemble(domain, problem)
+    report = solve_direct(system, compute_cond=compute_cond)
+    if exact_u is None:
+        return report, np.nan
+    return report, l1_error(domain, system, report.u, exact_u)
+
+
 def _solve_row(spec, mms, geometry, form, order, lc, compute_cond):
     t0 = time.perf_counter()
     domain = disk_fixture(spec.method, lc, order)
     problem = _make_problem(mms, geometry, spec.bc, form, spec.eps,
                             spec.gamma, spec.gamma_scaling)
-    system = assemble(domain, problem)
-    report = solve_direct(system, compute_cond=compute_cond)
+    report, err = _solve(domain, problem, mms.u, compute_cond)
     h_min, h_avg, h_max = domain.h_stats()
-    err = l1_error(domain, system, report.u, mms.u)
     return _row(
         spec, method=spec.method, form=form, order=order, lc=lc,
-        n_elm=domain.n_active, n_dof=system.rhs.size,
+        n_elm=domain.n_active, n_dof=report.u.size,
         h_min=h_min, h_avg=h_avg, h_max=h_max, l1_error=err,
         residual_inf=report.residual_inf,
         cond=report.cond,
@@ -308,10 +318,7 @@ def random_embedding_assessment(
     rng = np.random.default_rng(np.random.PCG64(seed))
     mesh = generate_structured_square(lc, square, square, origin=(0.0, 0.0))
     mms = ManufacturedSolution(wavenumber=wavenumber)
-    problem = BoundaryProblem(
-        conditions=[DirichletBC(mms.u, form="nitsche_nonsym")],
-        forcing=mms.forcing(0.0),
-    )
+    problem = _make_problem(mms, None, "dirichlet", "nitsche_nonsym")
     lo = radius + 2.0 * lc
     hi = square - radius - 2.0 * lc
 
@@ -332,9 +339,7 @@ def random_embedding_assessment(
             continue
         centers.append(center)
         for cell, domain in zip(cells, domains):
-            system = assemble(domain, problem)
-            report = solve_direct(system)
-            err = l1_error(domain, system, report.u, mms.u)
+            report, err = _solve(domain, problem, mms.u, compute_cond=True)
             samples[cell]["log_err"].append(np.log10(max(err, 1e-300)))
             samples[cell]["log_cond"].append(np.log10(report.cond))
 
@@ -420,11 +425,7 @@ def robin_delta_study(
             domain = embedded_disk_fixture(method, lc, order)
             h_avg[lc] = domain.h_stats()[1]
             for form, problem in problems.items():
-                system = assemble(domain, problem)
-                report = solve_direct(system, compute_cond=False)
-                errors[form][lc].append(
-                    l1_error(domain, system, report.u, mms.u)
-                )
+                errors[form][lc].append(_solve(domain, problem, mms.u)[1])
     return errors, h_avg
 
 
@@ -453,30 +454,21 @@ def robin_limit_gaps(method="cbm", lc=0.1, orders=(2, 5), form="aubin",
     geometry = Circle(FIXTURE_CENTER, FIXTURE_RADIUS)
     mms = ManufacturedSolution(wavenumber=wavenumber)
     q = mms.normal_derivative(geometry)
+    problems = (
+        _make_problem(mms, geometry, "dirichlet", "aubin"),
+        _make_problem(mms, geometry, "neumann", "standard"),
+        _make_problem(mms, geometry, "robin", form, eps=1e-10),
+        BoundaryProblem(
+            conditions=[RobinBC(mms.u, q, eps=1e10, form=form)],
+            forcing=mms.forcing(1.0), alpha=1.0,
+        ),
+    )
     gaps = {}
     for order in orders:
         domain = disk_fixture(method, lc, order)
-
-        def solve(problem):
-            system = assemble(domain, problem)
-            return solve_direct(system, compute_cond=False).u
-
-        dirichlet = solve(BoundaryProblem(
-            conditions=[DirichletBC(mms.u, form="aubin")],
-            forcing=mms.forcing(0.0),
-        ))
-        neumann = solve(BoundaryProblem(
-            conditions=[NeumannBC(q, form="standard")],
-            forcing=mms.forcing(1.0), alpha=1.0,
-        ))
-        robin_d = solve(BoundaryProblem(
-            conditions=[RobinBC(mms.u, q, eps=1e-10, form=form)],
-            forcing=mms.forcing(0.0),
-        ))
-        robin_n = solve(BoundaryProblem(
-            conditions=[RobinBC(mms.u, q, eps=1e10, form=form)],
-            forcing=mms.forcing(1.0), alpha=1.0,
-        ))
+        dirichlet, neumann, robin_d, robin_n = (
+            _solve(domain, problem)[0].u for problem in problems
+        )
         norm_d = np.abs(dirichlet).max()
         norm_n = np.abs(neumann).max()
         gaps[order] = {
@@ -543,8 +535,7 @@ def ap_cascade_slopes(
             conditions=[RobinBC(mms.u, q, eps=eps, form="aubin")],
             forcing=mms.forcing(0.0), gamma=gamma,
         )
-        system = assemble(domain, problem)
-        u_eps = solve_direct(system, compute_cond=False).u
+        u_eps = _solve(domain, problem)[0].u
         partial = np.zeros_like(u_eps)
         for m, mode in enumerate(modes):
             partial = partial + (eps ** m) * mode
@@ -622,9 +613,7 @@ def mixed_dirichlet_neumann(
         problem = BoundaryProblem(
             conditions=[inner, outer], forcing=mms.forcing(alpha), alpha=alpha
         )
-        system = assemble(domain, problem)
-        report = solve_direct(system, compute_cond=False)
-        errors[order] = l1_error(domain, system, report.u, mms.u)
+        errors[order] = _solve(domain, problem, mms.u)[1]
     return errors
 
 

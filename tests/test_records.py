@@ -165,7 +165,6 @@ def oracle_build_surrogate(mesh, geometry, mode, mapping_kind, order):
             EdgeRecords(
                 edge=edge, elem=owner, length=length, nbar=nbar, w=w,
                 xbar=xbar, x=x, d=x - xbar, n=geometry.normal(x),
-                t=geometry.tangent(x),
                 rs_bar=mesh.to_reference(owner, xbar),
                 rs_map=mesh.to_reference(owner, x),
                 segment=geometry.segment(x),
@@ -194,7 +193,6 @@ def oracle_conformal_surrogate(mesh, geometry, order):
                 edge=int(edge), elem=owner, length=length, nbar=nbar,
                 w=0.5 * length * elem.edge_w, xbar=xbar, x=xbar.copy(),
                 d=np.zeros_like(xbar), n=n,
-                t=np.column_stack([-n[:, 1], n[:, 0]]),
                 rs_bar=rs, rs_map=rs.copy(), segment=seg,
             )
         )
