@@ -102,6 +102,9 @@ class AssembledSystem:
     active: np.ndarray
     h_avg: float
     gamma: float
+    # (n_active, n_p, n_p) summed volume and boundary block of each active
+    # element, kept at P >= 3 without a pin for the condensed solve; else None
+    elem_matrices: np.ndarray | None = None
     n_dof: int = field(init=False)
 
     def __post_init__(self):
@@ -309,9 +312,9 @@ def assemble(
     jac = np.abs(mesh.jacobian[active])
     g = (binv @ binv.transpose(0, 2, 1)).reshape(-1, 4)
     coeffs = np.column_stack([g, np.full(active.size, problem.alpha)])
-    blocks = (jac[:, None] * coeffs) @ ref
+    volume = ((jac[:, None] * coeffs) @ ref).reshape(-1, elem.n_points, elem.n_points)
     acc = _Accumulator()
-    acc.add(loc2glob, blocks.reshape(-1, elem.n_points, elem.n_points))
+    acc.add(loc2glob, volume)
 
     rs_cub = np.column_stack([elem.cub_r, elem.cub_s])
     xq = mesh.to_physical(active, rs_cub).reshape(-1, 2)
@@ -362,11 +365,17 @@ def assemble(
             f"surrogate boundary edges without a boundary condition: "
             f"{records.edge[~tagged].tolist()}"
         )
-    gdofs = loc2glob[domain.active_row[records.elem]]
+    rows = domain.active_row[records.elem]
+    gdofs = loc2glob[rows]
     acc.add(gdofs, blocks)
     np.add.at(rhs, gdofs, bvecs[..., 0])
 
     matrix = acc.matrix(n_dof)
+    elem_matrices = None
+    if domain.order >= 3 and problem.pin is None:
+        # the matrix is built, so `volume` can take the boundary blocks
+        np.add.at(volume, rows, blocks)
+        elem_matrices = volume
     if problem.pin is not None:
         (px, py), value = problem.pin
         k = int(np.argmin(np.linalg.norm(dof_coords - (px, py), axis=1)))
@@ -384,4 +393,5 @@ def assemble(
         active=domain.active,
         h_avg=h_avg,
         gamma=gamma_global,
+        elem_matrices=elem_matrices,
     )

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+
+from .assembly import _Accumulator
+from .refelem import lattice_weights
 
 SVD_LIMIT = 2000  # above this, the default is the 1-norm estimator
 DENSE_LIMIT = 32  # up to this, 'svd' is a dense SVD: cheap, and ARPACK needs n > k
@@ -85,19 +89,86 @@ def condition_number(matrix, method: str | None = None, lu=None) -> float:
     return float(np.sqrt(sigma_max_sq * sigma_min_inv_sq))
 
 
-def solve_direct(system, compute_cond: bool = True) -> SolveReport:
-    """LU solve of an AssembledSystem (or anything with .matrix/.rhs).
-
-    The condition number, when asked for, reuses the solve's LU."""
-    a = sp.csc_matrix(system.matrix)
-    b = np.asarray(system.rhs, dtype=float)
-    if a.shape[0] != a.shape[1] or a.shape[0] != b.size:
-        raise ValueError("system dimensions are inconsistent")
+def _factorize(matrix):
     try:
-        lu = spla.splu(a)
+        return spla.splu(sp.csc_matrix(matrix))
     except RuntimeError as exc:
         raise RuntimeError(f"singular system matrix: {exc}") from exc
-    u = lu.solve(b)
+
+
+def _condensed_solver(system):
+    """Solver for A x = r that eliminates the element-interior nodes.
+
+    An interior node (all three lattice weights positive) couples only
+    inside its element, so each element's summed block splits into the
+    interior (I) and element-boundary (B) nodes. One batched inverse of the
+    K_II blocks gives the Schur complements K_BB - K_BI K_II^-1 K_IB, which
+    are scattered into S over the boundary DOFs; only S is factorized. The
+    explicit inverses cost less than repeated batched solves, and the
+    caller's refinement step absorbs their larger rounding error.
+    Raises LinAlgError when a K_II block is singular.
+    """
+    blocks, loc2glob = system.elem_matrices, system.loc2glob
+    n_p = blocks.shape[1]
+    # n_p = (P + 1)(P + 2) / 2
+    interior = (lattice_weights(math.isqrt(2 * n_p) - 1) > 0).all(axis=1)
+    ii, bb = np.flatnonzero(interior), np.flatnonzero(~interior)
+    k_inv = np.linalg.inv(blocks[:, ii[:, None], ii])
+    k_bi = blocks[:, bb[:, None], ii]
+    x_ib = k_inv @ blocks[:, ii[:, None], bb]
+    schur = blocks[:, bb[:, None], bb] - k_bi @ x_ib
+    glob_i = loc2glob[:, ii]
+    dofs, local = np.unique(loc2glob[:, bb], return_inverse=True)
+    local = local.reshape(-1, bb.size)
+    acc = _Accumulator()
+    acc.add(local, schur)
+    lu = _factorize(acc.matrix(dofs.size))
+
+    def solve(r):
+        y = k_inv @ r[glob_i][..., None]
+        g = r[dofs] - np.bincount(local.ravel(), weights=(k_bi @ y).ravel(),
+                                  minlength=dofs.size)
+        u_b = lu.solve(g)
+        u = np.empty_like(r)
+        u[dofs] = u_b
+        u[glob_i] = (y - x_ib @ u_b[local][..., None])[..., 0]
+        return u
+
+    return solve
+
+
+def solve_direct(system, compute_cond: bool = True) -> SolveReport:
+    """Direct solve of an AssembledSystem (or anything with .matrix/.rhs).
+
+    Without a condition number, a system that carries element matrices
+    (P >= 3, no pin) is solved by static condensation: the element-interior
+    nodes are eliminated element by element, only the Schur complement on
+    the element-boundary DOFs is LU-factorized, and one step of iterative
+    refinement against the full matrix, u += solve(b - A u), brings the
+    error back to that of a plain LU. Every other system, and every solve
+    with a condition number, takes `splu` of the full matrix; the
+    condition number reuses that LU. `factorization` names the path taken,
+    including a fallback to `splu` when an interior block is singular.
+    `residual_inf` and `ill_conditioned` always refer to the full system.
+    """
+    b = np.asarray(system.rhs, dtype=float)
+    solver, factorization = None, "splu"
+    if not compute_cond and getattr(system, "elem_matrices", None) is not None:
+        try:
+            solver = _condensed_solver(system)
+            factorization = "splu-condensed"
+        except np.linalg.LinAlgError as exc:
+            factorization = f"splu (condensation failed: {exc})"
+    # the condensed path only multiplies by A, which assemble builds in CSR
+    a = sp.csc_matrix(system.matrix) if solver is None else system.matrix
+    if a.shape[0] != a.shape[1] or a.shape[0] != b.size:
+        raise ValueError("system dimensions are inconsistent")
+    if solver is None:
+        lu = _factorize(a)
+        u = lu.solve(b)
+    else:
+        u = solver(b)
+        u += solver(b - a @ u)  # one refinement step
     residual = float(np.abs(a @ u - b).max())
     if compute_cond:
         cond_method = _default_method(a.shape[0])
@@ -110,7 +181,7 @@ def solve_direct(system, compute_cond: bool = True) -> SolveReport:
         u=u,
         cond=cond,
         cond_method=cond_method,
-        factorization="splu",
+        factorization=factorization,
         residual_inf=residual,
         ill_conditioned=residual > 1e-8 * scale,
     )

@@ -1,0 +1,125 @@
+"""Static condensation of element-interior nodes in the condition-free solve.
+
+The plain LU of the full matrix stays the oracle: the condensed and refined
+solution must match it, and must be no less accurate than it where the
+systems are worst conditioned.
+"""
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+
+import sembed.experiments as experiments
+from sembed.assembly import BoundaryProblem, DirichletBC, NeumannBC, assemble
+from sembed.mms import ManufacturedSolution
+from sembed.solve import solve_direct
+
+MMS = ManufacturedSolution(wavenumber=1)
+DIRICHLET = BoundaryProblem(conditions=[DirichletBC(MMS.u)], forcing=MMS.forcing(0.0))
+
+
+def plain_splu(system):
+    """The oracle: splu of the full matrix."""
+    return spla.splu(sp.csc_matrix(system.matrix)).solve(system.rhs)
+
+
+def scatter(system):
+    """The element matrices summed into one global matrix."""
+    blocks, loc2glob = system.elem_matrices, system.loc2glob
+    rows = np.broadcast_to(loc2glob[:, :, None], blocks.shape).ravel()
+    cols = np.broadcast_to(loc2glob[:, None, :], blocks.shape).ravel()
+    return sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=system.matrix.shape).tocsr()
+
+
+METHODS = ["cbm", "sbm-e", "sbm-ei", "sbm-i"]
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("order", [3, 5, 8])
+def test_condensed_matches_plain_splu(method, order):
+    system = assemble(experiments.disk_fixture(method, 0.1, order), DIRICHLET)
+    report = solve_direct(system, compute_cond=False)
+    assert report.factorization == "splu-condensed"
+    expected = plain_splu(system)
+    # the largest difference seen is 1.1e-11 relative, at sbm-e P 8
+    assert np.abs(report.u - expected).max() <= 1e-9 * np.abs(expected).max()
+    assert not report.ill_conditioned
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("order", [3, 8])
+def test_element_matrices_scatter_to_the_system_matrix(method, order):
+    system = assemble(experiments.disk_fixture(method, 0.1, order), DIRICHLET)
+    assert system.elem_matrices.shape == (system.active.size,) + system.loc2glob.shape[1:] * 2
+    difference = abs(scatter(system) - system.matrix).max()
+    assert difference <= 1e-13 * abs(system.matrix).max()
+
+
+def test_low_order_and_pinned_systems_take_the_plain_path():
+    pinned = BoundaryProblem(conditions=[NeumannBC(0.0)], pin=((0.5, 0.5), 0.0))
+    cases = [
+        (experiments.disk_fixture("sbm-i", 0.1, 2), DIRICHLET),
+        (experiments.disk_fixture("cbm", 0.1, 1), DIRICHLET),
+        (experiments.disk_fixture("cbm", 0.1, 3), pinned),
+    ]
+    for domain, problem in cases:
+        system = assemble(domain, problem)
+        assert system.elem_matrices is None
+        report = solve_direct(system, compute_cond=False)
+        assert report.factorization == "splu"
+        assert np.array_equal(report.u, plain_splu(system))
+
+
+def test_singular_interior_block_falls_back_to_plain_splu():
+    system = assemble(experiments.disk_fixture("sbm-i", 0.1, 3), DIRICHLET)
+    system.elem_matrices = system.elem_matrices.copy()
+    system.elem_matrices[0] = 0.0
+    report = solve_direct(system, compute_cond=False)
+    assert report.factorization.startswith("splu (condensation failed:")
+    assert np.array_equal(report.u, plain_splu(system))
+
+
+@pytest.fixture(scope="module")
+def sbm_e_p5_systems():
+    """The sbm-e P 5 systems of random_embedding_assessment(n_circles=5,
+    seed=1), condition numbers up to ~3e7."""
+    systems = []
+    solve = experiments._solve
+
+    def record(domain, problem, exact_u=None, compute_cond=False):
+        if domain.mode == "extrapolation" and domain.order == 5:
+            systems.append(assemble(domain, problem))
+        return solve(domain, problem, exact_u, compute_cond)
+
+    mp = pytest.MonkeyPatch()
+    mp.setattr(experiments, "_solve", record)
+    try:
+        experiments.random_embedding_assessment(n_circles=5, orders=(3, 5), seed=1)
+    finally:
+        mp.undo()
+    return systems
+
+
+def extended_precision_solution(system, steps=5):
+    """Reference solution: plain LU refined with residuals in np.longdouble."""
+    lu = spla.splu(sp.csc_matrix(system.matrix))
+    a = system.matrix.astype(np.longdouble)
+    b = system.rhs.astype(np.longdouble)
+    u = lu.solve(system.rhs).astype(np.longdouble)
+    for _ in range(steps):
+        u += lu.solve((b - a @ u).astype(float))
+    return u
+
+
+def test_refined_condensed_solve_is_as_accurate_as_plain_lu(sbm_e_p5_systems):
+    # without the refinement step the condensed error is 3e-10 to 4e-9,
+    # 13 to 400 times plain LU's, and this test fails
+    assert len(sbm_e_p5_systems) == 5
+    for system in sbm_e_p5_systems:
+        reference = extended_precision_solution(system)
+        report = solve_direct(system, compute_cond=False)
+        assert report.factorization == "splu-condensed"
+        plain_error = np.abs(plain_splu(system) - reference).max()
+        condensed_error = np.abs(report.u - reference).max()
+        assert condensed_error <= 2.0 * plain_error

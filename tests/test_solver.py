@@ -167,12 +167,18 @@ def test_solve_direct_factorizes_once(monkeypatch, size, large_system):
 
 
 def test_solution_bitwise_equal_to_plain_splu():
+    # with a condition number the solve is splu of the full matrix, bit for
+    # bit; without one, P 3 is condensed and refined, and on this
+    # well-conditioned system matches the same oracle to 1e-12 relative
     system, _ = small_system(order=3)
     a = sp.csc_matrix(system.matrix)
     expected = spla.splu(a).solve(np.asarray(system.rhs, dtype=float))
-    for compute_cond in (True, False):
-        u = solve_direct(system, compute_cond=compute_cond).u
-        assert np.array_equal(u, expected)
+    report = solve_direct(system, compute_cond=True)
+    assert report.factorization == "splu"
+    assert np.array_equal(report.u, expected)
+    report = solve_direct(system, compute_cond=False)
+    assert report.factorization == "splu-condensed"
+    assert np.abs(report.u - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 @pytest.mark.parametrize("size", ["small", "large"])
