@@ -183,7 +183,7 @@ class _Accumulator:
         self.cols.append(np.broadcast_to(gdofs[:, None, :], blocks.shape).ravel())
         self.vals.append(blocks.ravel())
 
-    def matrix(self, n):
+    def matrix(self, n, fmt="csr"):
         a = sp.coo_matrix(
             (
                 np.concatenate(self.vals),
@@ -191,7 +191,7 @@ class _Accumulator:
             ),
             shape=(n, n),
         )
-        return a.tocsr()
+        return a.asformat(fmt)
 
 
 def _elem_traces(domain, elem, rec):

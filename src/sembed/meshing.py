@@ -69,11 +69,14 @@ class TriMesh:
         # local edge m of an element joins local vertices m and (m+1)%3
         raw = np.concatenate([e[:, [0, 1]], e[:, [1, 2]], e[:, [2, 0]]])
         key = np.sort(raw, axis=1)
-        uniq, inv = np.unique(key, axis=0, return_inverse=True)
-        self.edges = uniq
+        # lo * n_v + hi orders the pairs as their rows sort, so a 1-D unique
+        # gives what np.unique(key, axis=0) does, without comparing rows
+        n_v = self.vertices.shape[0]
+        code, inv = np.unique(key[:, 0] * n_v + key[:, 1], return_inverse=True)
+        self.edges = np.stack(np.divmod(code, n_v), axis=1)
         n_elm = e.shape[0]
         self.elem_edges = inv.reshape(3, n_elm).T.copy()
-        self.edge_elems = np.full((uniq.shape[0], 2), -1, dtype=np.int64)
+        self.edge_elems = np.full((code.size, 2), -1, dtype=np.int64)
         # visiting the sides local edge by local edge, an edge's first visit
         # fills slot 0 and its second slot 1
         visits = self.elem_edges.T.ravel()

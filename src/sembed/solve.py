@@ -16,6 +16,12 @@ SVD_LIMIT = 2000  # above this, the default is the 1-norm estimator
 DENSE_LIMIT = 32  # up to this, 'svd' is a dense SVD: cheap, and ARPACK needs n > k
 EIGSH_TOL = 1e-10
 SINGULAR_KAPPA = np.inf
+# The Schur complement S is structurally symmetric: a minimum-degree ordering
+# of S^T + S with pivots taken from the diagonal about halves the fill of
+# splu's default COLAMD with partial pivoting (README "Solving")
+SCHUR_SPLU = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 1e-3,
+              "options": {"SymmetricMode": True}}
+MAX_REFINEMENT_STEPS = 5
 
 
 @dataclass(frozen=True)
@@ -26,6 +32,7 @@ class SolveReport:
     factorization: str
     residual_inf: float
     ill_conditioned: bool
+    refinement_steps: int = 0  # condensed-solve corrections; 0 if none ran
 
 
 def _default_method(n: int) -> str:
@@ -89,9 +96,9 @@ def condition_number(matrix, method: str | None = None, lu=None) -> float:
     return float(np.sqrt(sigma_max_sq * sigma_min_inv_sq))
 
 
-def _factorize(matrix):
+def _factorize(matrix, **options):
     try:
-        return spla.splu(sp.csc_matrix(matrix))
+        return spla.splu(sp.csc_matrix(matrix), **options)
     except RuntimeError as exc:
         raise RuntimeError(f"singular system matrix: {exc}") from exc
 
@@ -103,9 +110,10 @@ def _condensed_solver(system):
     inside its element, so each element's summed block splits into the
     interior (I) and element-boundary (B) nodes. One batched inverse of the
     K_II blocks gives the Schur complements K_BB - K_BI K_II^-1 K_IB, which
-    are scattered into S over the boundary DOFs; only S is factorized. The
-    explicit inverses cost less than repeated batched solves, and the
-    caller's refinement step absorbs their larger rounding error.
+    are scattered into S over the boundary DOFs; only S is factorized, with
+    the symmetric-mode options SCHUR_SPLU. The explicit inverses cost less
+    than repeated batched solves, and the caller's refinement absorbs their
+    larger rounding error and that of the diagonal pivots.
     Raises LinAlgError when a K_II block is singular.
     """
     blocks, loc2glob = system.elem_matrices, system.loc2glob
@@ -122,7 +130,7 @@ def _condensed_solver(system):
     local = local.reshape(-1, bb.size)
     acc = _Accumulator()
     acc.add(local, schur)
-    lu = _factorize(acc.matrix(dofs.size))
+    lu = _factorize(acc.matrix(dofs.size, "csc"), **SCHUR_SPLU)
 
     def solve(r):
         y = k_inv @ r[glob_i][..., None]
@@ -137,22 +145,47 @@ def _condensed_solver(system):
     return solve
 
 
+def _refine(solver, a, b):
+    """Solve A u = b with `solver`, then refine in the style of LAPACK's
+    xGERFS: apply a first correction u += solver(b - A u), and another one
+    after each that at least halved the max-norm residual, at most
+    MAX_REFINEMENT_STEPS in all. Returns u, the max norm of the last
+    residual taken and the number of corrections applied."""
+    u = solver(b)
+    r = b - a @ u
+    residual, last, steps = float(np.abs(r).max()), np.inf, 0
+    while steps < MAX_REFINEMENT_STEPS and 0 < residual <= last / 2:
+        u += solver(r)
+        r = b - a @ u
+        last, residual = residual, float(np.abs(r).max())
+        steps += 1
+    return u, residual, steps
+
+
+def _ill_conditioned(a, u, b, residual) -> bool:
+    scale = float(np.abs(a.data).max() * max(np.abs(u).max(), 1.0)
+                  + np.abs(b).max())
+    return residual > 1e-8 * scale
+
+
 def solve_direct(system, compute_cond: bool = True) -> SolveReport:
     """Direct solve of an AssembledSystem (or anything with .matrix/.rhs).
 
     Without a condition number, a system that carries element matrices
     (P >= 3, no pin) is solved by static condensation: the element-interior
     nodes are eliminated element by element, only the Schur complement on
-    the element-boundary DOFs is LU-factorized, and one step of iterative
-    refinement against the full matrix, u += solve(b - A u), brings the
-    error back to that of a plain LU. Every other system, and every solve
-    with a condition number, takes `splu` of the full matrix; the
-    condition number reuses that LU. `factorization` names the path taken,
-    including a fallback to `splu` when an interior block is singular.
+    the element-boundary DOFs is LU-factorized, and iterative refinement
+    against the full matrix (`_refine`) brings the error back to that of a
+    plain LU. Every other system, and every solve with a condition number,
+    takes `splu` of the full matrix; the condition number reuses that LU.
+    `factorization` names the path taken, including a fallback to `splu`
+    when an interior block is singular or when the refined residual stays
+    above the `ill_conditioned` bound; `refinement_steps` counts the
+    corrections applied, also before such a fallback.
     `residual_inf` and `ill_conditioned` always refer to the full system.
     """
     b = np.asarray(system.rhs, dtype=float)
-    solver, factorization = None, "splu"
+    solver, factorization, steps = None, "splu", 0
     if not compute_cond and getattr(system, "elem_matrices", None) is not None:
         try:
             solver = _condensed_solver(system)
@@ -163,25 +196,29 @@ def solve_direct(system, compute_cond: bool = True) -> SolveReport:
     a = sp.csc_matrix(system.matrix) if solver is None else system.matrix
     if a.shape[0] != a.shape[1] or a.shape[0] != b.size:
         raise ValueError("system dimensions are inconsistent")
+    if solver is not None:
+        u, residual, steps = _refine(solver, a, b)
+        ill_conditioned = _ill_conditioned(a, u, b, residual)
+        if ill_conditioned:
+            factorization = (f"splu (condensed refinement stalled at "
+                             f"residual {residual:.1e})")
+            solver, a = None, sp.csc_matrix(a)
     if solver is None:
         lu = _factorize(a)
         u = lu.solve(b)
-    else:
-        u = solver(b)
-        u += solver(b - a @ u)  # one refinement step
-    residual = float(np.abs(a @ u - b).max())
+        residual = float(np.abs(a @ u - b).max())
+        ill_conditioned = _ill_conditioned(a, u, b, residual)
     if compute_cond:
         cond_method = _default_method(a.shape[0])
         cond = condition_number(a, cond_method, lu=lu)
     else:
         cond, cond_method = float("nan"), "none"
-    scale = float(np.abs(a.data).max() * max(np.abs(u).max(), 1.0)
-                  + np.abs(b).max())
     return SolveReport(
         u=u,
         cond=cond,
         cond_method=cond_method,
         factorization=factorization,
         residual_inf=residual,
-        ill_conditioned=residual > 1e-8 * scale,
+        ill_conditioned=ill_conditioned,
+        refinement_steps=steps,
     )

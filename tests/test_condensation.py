@@ -11,9 +11,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import sembed.experiments as experiments
+import sembed.solve as solve
 from sembed.assembly import BoundaryProblem, DirichletBC, NeumannBC, assemble
 from sembed.mms import ManufacturedSolution
-from sembed.solve import solve_direct
+from sembed.solve import MAX_REFINEMENT_STEPS, solve_direct
 
 MMS = ManufacturedSolution(wavenumber=1)
 DIRICHLET = BoundaryProblem(conditions=[DirichletBC(MMS.u)], forcing=MMS.forcing(0.0))
@@ -41,6 +42,7 @@ def test_condensed_matches_plain_splu(method, order):
     system = assemble(experiments.disk_fixture(method, 0.1, order), DIRICHLET)
     report = solve_direct(system, compute_cond=False)
     assert report.factorization == "splu-condensed"
+    assert 1 <= report.refinement_steps <= MAX_REFINEMENT_STEPS
     expected = plain_splu(system)
     # the largest difference seen is 1.1e-11 relative, at sbm-e P 8
     assert np.abs(report.u - expected).max() <= 1e-9 * np.abs(expected).max()
@@ -68,6 +70,7 @@ def test_low_order_and_pinned_systems_take_the_plain_path():
         assert system.elem_matrices is None
         report = solve_direct(system, compute_cond=False)
         assert report.factorization == "splu"
+        assert report.refinement_steps == 0
         assert np.array_equal(report.u, plain_splu(system))
 
 
@@ -77,28 +80,69 @@ def test_singular_interior_block_falls_back_to_plain_splu():
     system.elem_matrices[0] = 0.0
     report = solve_direct(system, compute_cond=False)
     assert report.factorization.startswith("splu (condensation failed:")
+    assert report.refinement_steps == 0
     assert np.array_equal(report.u, plain_splu(system))
+
+
+def damped_solver(system, damping):
+    """A solver that returns `damping` times the exact solution, so that
+    each refinement step leaves 1 - damping of the residual."""
+    lu = spla.splu(sp.csc_matrix(system.matrix))
+    return lambda r: damping * lu.solve(r)
+
+
+@pytest.mark.parametrize("damping, steps", [(0.75, MAX_REFINEMENT_STEPS), (0.1, 1)])
+def test_refinement_continues_while_the_residual_halves(damping, steps):
+    # a residual cut to 1/4 per step refines up to the cap; one cut to 0.9
+    # stops after the first correction
+    system = assemble(experiments.disk_fixture("sbm-i", 0.1, 3), DIRICHLET)
+    a, b = system.matrix, system.rhs
+    u, residual, taken = solve._refine(damped_solver(system, damping), a, b)
+    assert taken == steps
+    assert residual == np.abs(b - a @ u).max()
+    assert residual == pytest.approx((1 - damping) ** (steps + 1) * np.abs(b).max(),
+                                     rel=1e-6)
+
+
+def test_stalled_refinement_falls_back_to_plain_splu(monkeypatch):
+    system = assemble(experiments.disk_fixture("sbm-i", 0.1, 3), DIRICHLET)
+    monkeypatch.setattr(solve, "_condensed_solver",
+                        lambda system: damped_solver(system, 0.1))
+    report = solve_direct(system, compute_cond=False)
+    assert report.factorization.startswith("splu (condensed refinement stalled at residual")
+    assert report.refinement_steps == 1
+    assert np.array_equal(report.u, plain_splu(system))
+    assert report.residual_inf == np.abs(system.matrix @ report.u - system.rhs).max()
+    assert not report.ill_conditioned
+
+
+def recorded_systems(keep, study, *args, **kwargs):
+    """Run `study` and return, assembled again, the systems of its solves
+    for which keep(domain, problem) holds."""
+    systems = []
+    study_solve = experiments._solve
+
+    def record(domain, problem, exact_u=None, compute_cond=False):
+        if keep(domain, problem):
+            systems.append(assemble(domain, problem))
+        return study_solve(domain, problem, exact_u, compute_cond)
+
+    mp = pytest.MonkeyPatch()
+    mp.setattr(experiments, "_solve", record)
+    try:
+        study(*args, **kwargs)
+    finally:
+        mp.undo()
+    return systems
 
 
 @pytest.fixture(scope="module")
 def sbm_e_p5_systems():
     """The sbm-e P 5 systems of random_embedding_assessment(n_circles=5,
     seed=1), condition numbers up to ~3e7."""
-    systems = []
-    solve = experiments._solve
-
-    def record(domain, problem, exact_u=None, compute_cond=False):
-        if domain.mode == "extrapolation" and domain.order == 5:
-            systems.append(assemble(domain, problem))
-        return solve(domain, problem, exact_u, compute_cond)
-
-    mp = pytest.MonkeyPatch()
-    mp.setattr(experiments, "_solve", record)
-    try:
-        experiments.random_embedding_assessment(n_circles=5, orders=(3, 5), seed=1)
-    finally:
-        mp.undo()
-    return systems
+    return recorded_systems(
+        lambda domain, problem: domain.mode == "extrapolation" and domain.order == 5,
+        experiments.random_embedding_assessment, n_circles=5, orders=(3, 5), seed=1)
 
 
 def extended_precision_solution(system, steps=5):
@@ -112,14 +156,29 @@ def extended_precision_solution(system, steps=5):
     return u
 
 
+def assert_as_accurate_as_plain_lu(system):
+    reference = extended_precision_solution(system)
+    report = solve_direct(system, compute_cond=False)
+    assert report.factorization == "splu-condensed"
+    plain_error = np.abs(plain_splu(system) - reference).max()
+    condensed_error = np.abs(report.u - reference).max()
+    assert condensed_error <= 2.0 * plain_error
+
+
 def test_refined_condensed_solve_is_as_accurate_as_plain_lu(sbm_e_p5_systems):
-    # without the refinement step the condensed error is 3e-10 to 4e-9,
-    # 13 to 400 times plain LU's, and this test fails
+    # without refinement the condensed error is 3e-10 to 4e-9, 13 to 400
+    # times plain LU's, and this test fails
     assert len(sbm_e_p5_systems) == 5
     for system in sbm_e_p5_systems:
-        reference = extended_precision_solution(system)
-        report = solve_direct(system, compute_cond=False)
-        assert report.factorization == "splu-condensed"
-        plain_error = np.abs(plain_splu(system) - reference).max()
-        condensed_error = np.abs(report.u - reference).max()
-        assert condensed_error <= 2.0 * plain_error
+        assert_as_accurate_as_plain_lu(system)
+
+
+def test_refinement_reaches_plain_lu_accuracy_on_robin_p7():
+    # nitsche_full_condition of robin_delta_study("sbm-i") at lc 0.05, P 7:
+    # 11341 DOF, 1-norm condition estimate 6e8. The refined condensed solve
+    # ends 9.9e-12 from the reference, plain LU 8.2e-12; a single fixed
+    # refinement step ends 3.3e-11 away, and this test fails
+    (system,) = recorded_systems(
+        lambda domain, problem: problem.conditions[0].form == "nitsche_full_condition",
+        experiments.robin_delta_study, "sbm-i", (0.05,), (7,))
+    assert_as_accurate_as_plain_lu(system)

@@ -68,6 +68,39 @@ def test_edge_elems_match_visit_order():
             assert np.array_equal(m.edge_elems, _edge_elems_by_visit(m))
 
 
+def _edges_by_row_unique(mesh):
+    # The row-wise np.unique the integer edge key replaced, kept as reference.
+    e = mesh.elements
+    raw = np.concatenate([e[:, [0, 1]], e[:, [1, 2]], e[:, [2, 0]]])
+    edges, inv = np.unique(np.sort(raw, axis=1), axis=0, return_inverse=True)
+    return edges, inv.reshape(3, -1).T
+
+
+def _gmsh_roundtrip_disk():
+    mesh = generate_structured_disk(0.05, 1.0)
+    rows = np.random.default_rng(5).permutation(mesh.n_elements)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "disk.msh")
+        write_gmsh(TriMesh(mesh.vertices, mesh.elements[rows]), path)
+        return read_gmsh(path)
+
+
+@pytest.mark.parametrize("make_mesh", [
+    lambda: generate_structured_disk(0.0125, 1.0),
+    lambda: generate_structured_square(0.05, 2.0, 1.0),
+    lambda: read_gmsh(io.StringIO(V41_TEXT)),
+    _gmsh_roundtrip_disk,
+], ids=["disk", "square", "gmsh-v4.1", "gmsh-v2.2-shuffled"])
+def test_edge_numbering_matches_row_unique(make_mesh):
+    mesh = make_mesh()
+    edges, elem_edges = _edges_by_row_unique(mesh)
+    assert mesh.edges.dtype == edges.dtype
+    assert np.array_equal(mesh.edges, edges)
+    assert np.array_equal(mesh.elem_edges, elem_edges)
+    # elem_edges equal, so the visit loop gives the reference edge_elems
+    assert np.array_equal(mesh.edge_elems, _edge_elems_by_visit(mesh))
+
+
 def test_edge_shared_by_three_elements_rejected():
     v = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0], [2.0, 0.5]])
     with pytest.raises(ValueError, match="edge 0 shared by more than two"):
