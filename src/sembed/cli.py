@@ -5,37 +5,35 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .experiments import KINDS, METHODS, ExperimentSpec, run
+from .experiments import KINDS, METHODS, ExperimentSpec, artifact_base, run
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # an option left out is absent from the parsed namespace, so the spec
+    # takes ExperimentSpec's own default for it
     parser = argparse.ArgumentParser(
         prog="sembed",
         description="Spectral element verification experiments for the "
         "shifted-boundary Poisson-reaction solver.",
+        argument_default=argparse.SUPPRESS,
     )
     parser.add_argument("--experiment", required=True, choices=KINDS)
-    parser.add_argument("--method", default="sbm-i", choices=sorted(METHODS))
-    parser.add_argument("--form", default="nitsche",
+    parser.add_argument("--method", choices=sorted(METHODS))
+    parser.add_argument("--form",
                         help="weak form (nitsche, aubin, or an explicit "
                         "per-condition form name)")
-    parser.add_argument("--bc", default="dirichlet",
-                        choices=("dirichlet", "neumann", "robin"))
-    parser.add_argument("--eps", type=float, default=1.0,
-                        help="Robin coefficient")
-    parser.add_argument("--lc-ladder", type=float, nargs="+",
-                        default=[0.2, 0.1, 0.05], metavar="LC")
-    parser.add_argument("--p-ladder", type=int, nargs="+", default=[2],
-                        metavar="P")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--gamma", type=float, default=None,
+    parser.add_argument("--bc", choices=("dirichlet", "neumann", "robin"))
+    parser.add_argument("--eps", type=float, help="Robin coefficient")
+    parser.add_argument("--lc-ladder", type=float, nargs="+", metavar="LC")
+    parser.add_argument("--p-ladder", type=int, nargs="+", metavar="P")
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--gamma", type=float,
                         help="penalty scale (default: h_avg / 2)")
-    parser.add_argument("--gamma-scaling", default="avg",
-                        choices=("avg", "local-h"),
+    parser.add_argument("--gamma-scaling", choices=("avg", "local-h"),
                         help="global h_avg penalty or per-element h")
-    parser.add_argument("--wavenumber", type=int, default=1,
+    parser.add_argument("--wavenumber", type=int,
                         help="manufactured solution wavenumber")
-    parser.add_argument("--out", default=None,
+    parser.add_argument("--out",
                         help="output basename; writes <out>.csv and "
                         "<out>.json")
     parser.add_argument("--dat", action="store_true",
@@ -44,22 +42,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    opts = vars(parser.parse_args(argv))
+    kind, dat = opts.pop("experiment"), opts.pop("dat", False)
+    if dat and "out" not in opts:
+        parser.error("--dat writes <out>.dat and needs --out")
+    if opts.get("gamma_scaling") == "local-h":
+        opts["gamma_scaling"] = "local"
     try:
-        spec = ExperimentSpec(
-            kind=args.experiment,
-            method=args.method,
-            form=args.form,
-            bc=args.bc,
-            eps=args.eps,
-            lc_ladder=tuple(args.lc_ladder),
-            p_ladder=tuple(args.p_ladder),
-            seed=args.seed,
-            gamma=args.gamma,
-            gamma_scaling="local" if args.gamma_scaling == "local-h" else "avg",
-            wavenumber=args.wavenumber,
-            out=args.out,
-        )
+        spec = ExperimentSpec(kind=kind, **opts)
         # a spec valid field by field can still ask a fixture for what it
         # cannot build (say, cbm on an embedded fixture); it says so here
         rows, rates = run(spec)
@@ -67,8 +58,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if args.dat and args.out is not None:
-        _write_dat(args.out, rows)
+    if dat:
+        _write_dat(spec.out, rows)
 
     for row in rows:
         print(
@@ -82,8 +73,7 @@ def main(argv=None) -> int:
 
 
 def _write_dat(out, rows):
-    base = out[:-4] if out.endswith(".csv") else out
-    with open(base + ".dat", "w") as fh:
+    with open(artifact_base(out) + ".dat", "w") as fh:
         fh.write("# order lc l1_error cond\n")
         for row in rows:
             fh.write(

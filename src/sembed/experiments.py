@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
 import time
 from dataclasses import dataclass, asdict, replace
 
@@ -43,6 +44,8 @@ from .solve import solve_direct
 
 SCHEMA_VERSION = 1
 
+log = logging.getLogger(__name__)
+
 # method -> (active-set mode, mapping kind, mesh radius offset in units of l_c)
 METHODS = {
     "cbm": None,
@@ -58,6 +61,15 @@ _ROBIN_ALIAS = {"nitsche": "nitsche_full_condition", "aubin": "aubin"}
 
 FIXTURE_RADIUS = 0.375
 FIXTURE_CENTER = (0.5, 0.5)
+FIXTURE_CIRCLE = Circle(FIXTURE_CENTER, FIXTURE_RADIUS)
+SQUARE_SIDE = 2.0  # background mesh of the random embeddings and the plate
+# a 1.5-wide plate centred in the background square, with a hole of the
+# fixture radius at its centre
+PLATE_WITH_HOLE = Difference(Rectangle((0.25, 0.25), (1.75, 1.75)),
+                             Circle((1.0, 1.0), FIXTURE_RADIUS))
+RANDOM_EMBEDDING_LC = 0.15
+MAX_RESAMPLE = 50  # redraws of degenerate centres before giving up
+AP_CASCADE_EPS = (1e-2, 1e-3, 1e-4)
 
 CSV_COLUMNS = (
     "kind",
@@ -149,18 +161,18 @@ def _surrogate(method, mesh, geometry, order):
     return build_surrogate(mesh, geometry, *METHODS[method][:2], order)
 
 
-def disk_fixture(method, lc, order, radius=FIXTURE_RADIUS, center=FIXTURE_CENTER):
+def disk_fixture(method, lc, order):
     """Aligned circle fixture: a structured disk mesh sized per method."""
     offset = 0.0 if method == "cbm" else METHODS[method][2]
-    mesh = generate_structured_disk(lc, radius + offset * lc, center)
-    return _surrogate(method, mesh, Circle(center, radius), order)
+    mesh = generate_structured_disk(lc, FIXTURE_RADIUS + offset * lc,
+                                    FIXTURE_CENTER)
+    return _surrogate(method, mesh, FIXTURE_CIRCLE, order)
 
 
-def _make_problem(mms, geometry, bc, form, eps=1.0, gamma=None,
-                  gamma_scaling="avg"):
-    """One `bc` condition with the manufactured data; the Neumann problem
-    carries a unit reaction term so it is well posed."""
-    q = mms.normal_derivative(geometry)
+def _make_problem(mms, bc, form, eps=1.0, gamma=None, gamma_scaling="avg"):
+    """One `bc` condition on the fixture circle with the manufactured data;
+    the Neumann problem carries a unit reaction term so it is well posed."""
+    q = mms.normal_derivative(FIXTURE_CIRCLE)
     if bc == "dirichlet":
         cond = DirichletBC(mms.u, form=form)
     elif bc == "neumann":
@@ -189,11 +201,9 @@ def _solve(domain, problem, exact_u=None, compute_cond=False):
     return report, l1_error(domain, system, report.u, exact_u)
 
 
-def _solve_row(spec, mms, geometry, form, order, lc, compute_cond):
+def _solve_row(spec, mms, problem, form, order, lc, compute_cond):
     t0 = time.perf_counter()
     domain = disk_fixture(spec.method, lc, order)
-    problem = _make_problem(mms, geometry, spec.bc, form, spec.eps,
-                            spec.gamma, spec.gamma_scaling)
     report, err = _solve(domain, problem, mms.u, compute_cond)
     h_min, h_avg, h_max = domain.h_stats()
     return _row(
@@ -219,15 +229,16 @@ def _h_convergence(spec):
     """Convergence and conditioning ladders on the aligned disk, one solve
     per (order, lc) cell. p_convergence runs lc-outer and fits no rates; the
     other kinds run order-outer and fit rates per order."""
-    geometry = Circle(FIXTURE_CENTER, FIXTURE_RADIUS)
     mms = ManufacturedSolution(wavenumber=spec.wavenumber)
     form = spec.resolve_form()
+    problem = _make_problem(mms, spec.bc, form, spec.eps, spec.gamma,
+                            spec.gamma_scaling)
     want_cond = spec.kind == "conditioning"
     if spec.kind == "p_convergence":
         cells = [(p, lc) for lc in spec.lc_ladder for p in spec.p_ladder]
     else:
         cells = [(p, lc) for p in spec.p_ladder for lc in spec.lc_ladder]
-    rows = [_solve_row(spec, mms, geometry, form, order, lc, want_cond)
+    rows = [_solve_row(spec, mms, problem, form, order, lc, want_cond)
             for order, lc in cells]
     if spec.kind == "p_convergence":
         return rows, {}
@@ -242,7 +253,7 @@ def _h_convergence(spec):
     return rows, rates
 
 
-def aligned_degeneration(lc=0.2, order=2, bc="dirichlet", form=None):
+def aligned_degeneration(lc=0.2, order=2, bc="dirichlet"):
     """Max entrywise matrix/rhs gap between each degenerate SBM assembly
     and the conformal assembly on the same boundary-aligned mesh.
 
@@ -250,21 +261,19 @@ def aligned_degeneration(lc=0.2, order=2, bc="dirichlet", form=None):
     conformal counterparts), so every variant must reproduce the conformal
     operator exactly.
     """
-    geometry = Circle(FIXTURE_CENTER, FIXTURE_RADIUS)
     mesh = generate_structured_disk(lc, FIXTURE_RADIUS, FIXTURE_CENTER)
-    mms = ManufacturedSolution(wavenumber=1)
-    if form is None:
-        form = {"dirichlet": "nitsche_nonsym", "neumann": "standard",
-                "robin": "nitsche_full_condition"}[bc]
-    problem = _make_problem(mms, geometry, bc, form)
+    form = {"dirichlet": "nitsche_nonsym", "neumann": "standard",
+            "robin": "nitsche_full_condition"}[bc]
+    problem = _make_problem(ManufacturedSolution(wavenumber=1), bc, form)
 
-    reference = assemble(_surrogate("cbm", mesh, geometry, order), problem)
+    reference = assemble(_surrogate("cbm", mesh, FIXTURE_CIRCLE, order),
+                         problem)
     scale = abs(reference.matrix).max()
     gaps = {}
     for method in METHODS:
         if method == "cbm":
             continue
-        domain = _surrogate(method, mesh, geometry, order)
+        domain = _surrogate(method, mesh, FIXTURE_CIRCLE, order)
         rec = domain.records
         degenerate = replace(
             rec, x=rec.xbar, d=np.zeros_like(rec.d),
@@ -295,18 +304,10 @@ def _aligned_verification(spec):
     return rows, {}
 
 
-def random_embedding_assessment(
-    n_circles=100,
-    radius=FIXTURE_RADIUS,
-    square=2.0,
-    lc=0.15,
-    seed=0,
-    orders=(3, 5),
-    wavenumber=1,
-    max_resample=50,
-):
-    """Random circles in a fixed background square: error and conditioning
-    statistics per SBM variant.
+def random_embedding_assessment(n_circles=100, lc=RANDOM_EMBEDDING_LC, seed=0,
+                                orders=(3, 5), wavenumber=1):
+    """Random circles of the fixture radius in the background square: error
+    and conditioning statistics per SBM variant.
 
     Centers are drawn uniformly so the circle stays inside the square with
     a margin of 2 lc, from a PCG64 generator seeded explicitly, so the
@@ -316,26 +317,28 @@ def random_embedding_assessment(
     log10 cond, plus the raw samples.
     """
     rng = np.random.default_rng(np.random.PCG64(seed))
-    mesh = generate_structured_square(lc, square, square, origin=(0.0, 0.0))
+    mesh = generate_structured_square(lc, SQUARE_SIDE, SQUARE_SIDE)
     mms = ManufacturedSolution(wavenumber=wavenumber)
-    problem = _make_problem(mms, None, "dirichlet", "nitsche_nonsym")
-    lo = radius + 2.0 * lc
-    hi = square - radius - 2.0 * lc
+    problem = _make_problem(mms, "dirichlet", "nitsche_nonsym")
+    lo = FIXTURE_RADIUS + 2.0 * lc
+    hi = SQUARE_SIDE - FIXTURE_RADIUS - 2.0 * lc
 
     cells = [(m, p) for m in ("sbm-e", "sbm-ei", "sbm-i") for p in orders]
     samples = {cell: {"log_err": [], "log_cond": []} for cell in cells}
     centers = []
     attempts = 0
     while len(centers) < n_circles:
-        if attempts > max_resample + n_circles:
+        if attempts > MAX_RESAMPLE + n_circles:
             raise RuntimeError("too many degenerate embeddings resampled")
         attempts += 1
         center = rng.uniform(lo, hi, size=2)
-        geometry = Circle(tuple(center), radius)
+        geometry = Circle(tuple(center), FIXTURE_RADIUS)
         try:
             domains = [_surrogate(m, mesh, geometry, p) for m, p in cells]
-        except ValueError:
-            # empty or disconnected active set; resample (logged by caller)
+        except ValueError as exc:
+            # empty or disconnected active set
+            log.warning("random embedding: resampling the circle at "
+                        "(%.6f, %.6f): %s", *center, exc)
             continue
         centers.append(center)
         for cell, domain in zip(cells, domains):
@@ -364,7 +367,8 @@ def _random_embedding(spec):
     )
     rows = [
         _row(spec, method=method, form="nitsche_nonsym", order=order,
-             lc=0.15, n_elm=n, l1_error=10.0 ** s["median_log_err"],
+             lc=RANDOM_EMBEDDING_LC, n_elm=n,
+             l1_error=10.0 ** s["median_log_err"],
              cond=10.0 ** s["median_log_cond"],
              extra=json.dumps(s, sort_keys=True))
         for (method, order), s in sorted(stats.items())
@@ -372,9 +376,8 @@ def _random_embedding(spec):
     return rows, {}
 
 
-def embedded_disk_fixture(method, lc, order, radius=FIXTURE_RADIUS,
-                          center=FIXTURE_CENTER):
-    """Circle embedded in a non-aligned unit-square background mesh.
+def embedded_disk_fixture(method, lc, order):
+    """Fixture circle embedded in a non-aligned unit-square background mesh.
 
     Unlike the aligned disk fixture, surrogate edges here are genuinely
     oblique to the boundary (1 - nbar.n = O(h)), which is what the
@@ -382,8 +385,8 @@ def embedded_disk_fixture(method, lc, order, radius=FIXTURE_RADIUS,
     """
     if method == "cbm":
         raise ValueError("embedded disk fixture needs a shifted-boundary method")
-    mesh = generate_structured_square(lc, 1.0, 1.0, (0.0, 0.0))
-    return _surrogate(method, mesh, Circle(center, radius), order)
+    return _surrogate(method, generate_structured_square(lc), FIXTURE_CIRCLE,
+                      order)
 
 
 def robin_delta_study(
@@ -401,9 +404,8 @@ def robin_delta_study(
     Each (lc, order) surrogate is built once and solved in every form.
     Returns the L1 error table errors[form][lc] -> list over orders.
     """
-    geometry = Circle(FIXTURE_CENTER, FIXTURE_RADIUS)
     mms = ManufacturedSolution(wavenumber=wavenumber)
-    q = mms.normal_derivative(geometry)
+    q = mms.normal_derivative(FIXTURE_CIRCLE)
 
     def u_pert(x):
         return mms.u(x) - delta
@@ -451,13 +453,12 @@ def robin_limit_gaps(method="cbm", lc=0.1, orders=(2, 5), form="aubin",
                      wavenumber=1):
     """Relative gap between extreme-eps Robin solves and the pure
     Dirichlet / Neumann solves on one fixed mesh per order."""
-    geometry = Circle(FIXTURE_CENTER, FIXTURE_RADIUS)
     mms = ManufacturedSolution(wavenumber=wavenumber)
-    q = mms.normal_derivative(geometry)
+    q = mms.normal_derivative(FIXTURE_CIRCLE)
     problems = (
-        _make_problem(mms, geometry, "dirichlet", "aubin"),
-        _make_problem(mms, geometry, "neumann", "standard"),
-        _make_problem(mms, geometry, "robin", form, eps=1e-10),
+        _make_problem(mms, "dirichlet", "aubin"),
+        _make_problem(mms, "neumann", "standard"),
+        _make_problem(mms, "robin", form, eps=1e-10),
         BoundaryProblem(
             conditions=[RobinBC(mms.u, q, eps=1e10, form=form)],
             forcing=mms.forcing(1.0), alpha=1.0,
@@ -478,8 +479,13 @@ def robin_limit_gaps(method="cbm", lc=0.1, orders=(2, 5), form="aubin",
     return gaps
 
 
+def _robin_form(spec):
+    """The Robin studies take the spec's form under --bc robin, else aubin."""
+    return spec.resolve_form() if spec.bc == "robin" else "aubin"
+
+
 def _robin_limits(spec):
-    form = spec.resolve_form() if spec.bc == "robin" else "aubin"
+    form = _robin_form(spec)
     gaps = robin_limit_gaps(spec.method, spec.lc_ladder[0], spec.p_ladder,
                             form, spec.wavenumber)
     rows = [
@@ -492,41 +498,29 @@ def _robin_limits(spec):
     return rows, {}
 
 
-def ap_cascade_slopes(
-    method="sbm-i",
-    lc=0.0625,
-    order=6,
-    eps_values=(1e-2, 1e-3, 1e-4),
-    limit="dirichlet",
-    wavenumber=1,
-    gamma=None,
-    q_offset=1.0,
-):
+def ap_cascade_slopes(method="sbm-i", lc=0.0625, order=6,
+                      eps_values=AP_CASCADE_EPS, wavenumber=1, gamma=None):
     """Fitted slopes of ||u_eps - sum_{k<=m} eps^k u_k||_L1 vs eps.
 
     u_eps solves the full Robin problem (Aubin form); the cascade modes come
-    from the recursive limit problems. The flux data carries a constant
-    offset so the data pair is not mutually consistent (otherwise every
-    correction mode vanishes and the expansion is trivial). Expected slopes
-    1, 2, 3 for m = 0, 1, 2, with the cubic fit allowed to sit on the
-    discretization floor at the smallest eps.
+    from the recursive Dirichlet-limit (eps -> 0) problems. The flux data
+    carries an offset so the data pair is not mutually consistent
+    (otherwise every correction mode vanishes and the expansion is
+    trivial). Expected slopes 1, 2, 3 for m = 0, 1, 2, with the cubic fit
+    allowed to sit on the discretization floor at the smallest eps.
     """
-    geometry = Circle(FIXTURE_CENTER, FIXTURE_RADIUS)
     mms = ManufacturedSolution(wavenumber=wavenumber)
-    q_mms = mms.normal_derivative(geometry)
+    q_mms = mms.normal_derivative(FIXTURE_CIRCLE)
 
     def q(x, n=None):
         # spatially varying data mismatch; a constant would make u_1
         # constant and kill the higher correction modes
         x = np.asarray(x, dtype=float)
-        return q_mms(x, n) + q_offset * np.cos(
-            2.0 * np.pi * (x[..., 0] - x[..., 1])
-        )
+        return q_mms(x, n) + np.cos(2.0 * np.pi * (x[..., 0] - x[..., 1]))
 
     domain = disk_fixture(method, lc, order)
     modes, base = ap_cascade(
-        domain, mms.u, q, mms.forcing(0.0), alpha=0.0, limit=limit,
-        m_max=2, gamma=gamma,
+        domain, mms.u, q, mms.forcing(0.0), alpha=0.0, m_max=2, gamma=gamma,
     )
 
     residuals = np.empty((len(eps_values), 3))
@@ -556,33 +550,28 @@ def ap_cascade_slopes(
 
 def _ap_cascade(spec):
     order = spec.p_ladder[-1]
-    eps_values = (1e-2, 1e-3, 1e-4)
     slopes, residuals = ap_cascade_slopes(
-        spec.method, spec.lc_ladder[0], order, eps_values,
+        spec.method, spec.lc_ladder[0], order,
         wavenumber=spec.wavenumber, gamma=spec.gamma,
     )
     rows = [
         _row(spec, method=spec.method, form="aubin", order=order,
              lc=spec.lc_ladder[0], l1_error=residuals[i, m],
              extra=f"eps={eps:g} m={m}")
-        for i, eps in enumerate(eps_values)
+        for i, eps in enumerate(AP_CASCADE_EPS)
         for m in range(3)
     ]
     rates = {f"ap_slope_m{m}": slopes[m] for m in range(3)}
     return rows, rates
 
 
-def square_with_hole_fixture(method, lc, order, square=2.0,
-                             plate=1.5, radius=FIXTURE_RADIUS):
-    """Plate-with-hole geometry embedded in a square background mesh."""
+def square_with_hole_fixture(method, lc, order):
+    """PLATE_WITH_HOLE embedded in the square background mesh. Returns the
+    surrogate domain and the geometry."""
     if method == "cbm":
         raise ValueError("square-with-hole fixture is embedded only")
-    margin = (square - plate) / 2.0
-    outer = Rectangle((margin, margin), (margin + plate, margin + plate))
-    inner = Circle((square / 2.0, square / 2.0), radius)
-    geometry = Difference(outer, inner)
-    mesh = generate_structured_square(lc, square, square, origin=(0.0, 0.0))
-    return _surrogate(method, mesh, geometry, order), geometry
+    mesh = generate_structured_square(lc, SQUARE_SIDE, SQUARE_SIDE)
+    return _surrogate(method, mesh, PLATE_WITH_HOLE, order), PLATE_WITH_HOLE
 
 
 def mixed_dirichlet_neumann(
@@ -595,30 +584,27 @@ def mixed_dirichlet_neumann(
 ):
     """Square-with-hole solved with Robin conditions only: eps = 1e-10 on
     the outer boundary (Dirichlet-like) and 1e10 on the hole
-    (Neumann-like), or the reverse with swap=True."""
+    (Neumann-like), or the reverse with swap=True. The hole's records are
+    picked by their segment id."""
     mms = ManufacturedSolution(wavenumber=wavenumber)
+    q = mms.normal_derivative(PLATE_WITH_HOLE)
     eps_outer, eps_inner = (1e10, 1e-10) if swap else (1e-10, 1e10)
-    errors = {}
-    for order in orders:
-        domain, geometry = square_with_hole_fixture(method, lc, order)
-        q = mms.normal_derivative(geometry)
-        center = np.array([1.0, 1.0])
-        split = 0.5 * (FIXTURE_RADIUS + 0.75)  # between hole and plate edge
-        inner = RobinBC(
-            mms.u, q, eps=eps_inner, form=form,
-            where=lambda mid: np.hypot(*(mid - center)) < split,
-        )
-        outer = RobinBC(mms.u, q, eps=eps_outer, form=form)
-        alpha = 1.0 if swap else 0.0  # swapped outer Neumann needs reaction
-        problem = BoundaryProblem(
-            conditions=[inner, outer], forcing=mms.forcing(alpha), alpha=alpha
-        )
-        errors[order] = _solve(domain, problem, mms.u)[1]
-    return errors
+    inner = RobinBC(mms.u, q, eps=eps_inner, form=form,
+                    where=Difference.INNER_OFFSET)
+    outer = RobinBC(mms.u, q, eps=eps_outer, form=form)
+    alpha = 1.0 if swap else 0.0  # swapped outer Neumann needs reaction
+    problem = BoundaryProblem(
+        conditions=[inner, outer], forcing=mms.forcing(alpha), alpha=alpha
+    )
+    return {
+        order: _solve(square_with_hole_fixture(method, lc, order)[0],
+                      problem, mms.u)[1]
+        for order in orders
+    }
 
 
 def _mixed(spec):
-    form = spec.resolve_form() if spec.bc == "robin" else "aubin"
+    form = _robin_form(spec)
     errors = mixed_dirichlet_neumann(
         spec.method, spec.lc_ladder[0], spec.p_ladder, form, spec.wavenumber
     )
@@ -682,10 +668,14 @@ def run(spec: ExperimentSpec):
 run_experiment = run  # package-level alias
 
 
+def artifact_base(out):
+    """The path every artifact file of `out` starts with: `out` without a
+    trailing .csv."""
+    return str(out).removesuffix(".csv")
+
+
 def write_artifacts(spec, rows, rates):
-    base = str(spec.out)
-    if base.endswith(".csv"):
-        base = base[:-4]
+    base = artifact_base(spec.out)
     with open(base + ".csv", "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
         writer.writeheader()

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -116,6 +117,41 @@ def test_cli_writes_artifacts(tmp_path, capsys):
     assert out.with_suffix(".csv").exists()
     assert out.with_suffix(".json").exists()
     assert out.with_suffix(".dat").exists()
+
+
+def test_cli_dat_needs_out(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--experiment", "vandermonde_1d", "--dat"])
+    assert exc.value.code == 2
+    assert "--out" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def _capture_specs(monkeypatch):
+    """Stand in for the run behind the CLI; returns the specs it gets."""
+    specs = []
+
+    def record(spec):
+        specs.append(spec)
+        return [], {}
+
+    monkeypatch.setattr(cli, "run", record)
+    return specs
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_cli_defaults_are_the_spec_defaults(kind, monkeypatch):
+    specs = _capture_specs(monkeypatch)
+    assert cli.main(["--experiment", kind]) == 0
+    assert specs == [ExperimentSpec(kind=kind)]
+
+
+def test_cli_gamma_scaling_local_h_is_the_per_element_penalty(monkeypatch):
+    specs = _capture_specs(monkeypatch)
+    assert cli.main(["--experiment", "conditioning",
+                     "--gamma-scaling", "local-h"]) == 0
+    assert specs == [ExperimentSpec(kind="conditioning", gamma_scaling="local")]
 
 
 def test_cli_reports_invalid_combo(capsys):
@@ -273,3 +309,25 @@ def test_aligned_degeneration_gaps_equal_dense_comparison(bc, monkeypatch):
             np.abs(reference.rhs).max(), 1.0
         )
         assert gaps[method] == max(gap_a, gap_b)
+
+
+def test_random_embedding_logs_each_resampled_center(monkeypatch, caplog):
+    real = experiments._surrogate
+    rejected = []
+
+    def fail_once(method, mesh, geometry, order):
+        if not rejected:
+            rejected.append(tuple(geometry.center))
+            raise ValueError("empty active set")
+        return real(method, mesh, geometry, order)
+
+    monkeypatch.setattr(experiments, "_surrogate", fail_once)
+    with caplog.at_level(logging.WARNING, logger="sembed.experiments"):
+        _, _, centers = experiments.random_embedding_assessment(
+            n_circles=1, orders=(1,)
+        )
+    warnings = [r for r in caplog.records if r.name == "sembed.experiments"]
+    assert len(warnings) == 1
+    assert "resampling" in warnings[0].getMessage()
+    assert "empty active set" in warnings[0].getMessage()
+    assert len(centers) == 1 and tuple(centers[0]) != rejected[0]
