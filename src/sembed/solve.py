@@ -16,11 +16,12 @@ SVD_LIMIT = 2000  # above this, the default is the 1-norm estimator
 DENSE_LIMIT = 32  # up to this, 'svd' is a dense SVD: cheap, and ARPACK needs n > k
 EIGSH_TOL = 1e-10
 SINGULAR_KAPPA = np.inf
-# The Schur complement S is structurally symmetric: a minimum-degree ordering
-# of S^T + S with pivots taken from the diagonal about halves the fill of
-# splu's default COLAMD with partial pivoting (README "Solving")
-SCHUR_SPLU = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 1e-3,
-              "options": {"SymmetricMode": True}}
+# The Schur complement S, and the full matrix of a system without element
+# matrices, are structurally symmetric: a minimum-degree ordering of A^T + A
+# with pivots taken from the diagonal about halves the fill of splu's default
+# COLAMD with partial pivoting (README "Solving")
+SYMMETRIC_SPLU = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 1e-3,
+                  "options": {"SymmetricMode": True}}
 MAX_REFINEMENT_STEPS = 5
 
 
@@ -32,7 +33,7 @@ class SolveReport:
     factorization: str
     residual_inf: float
     ill_conditioned: bool
-    refinement_steps: int = 0  # condensed-solve corrections; 0 if none ran
+    refinement_steps: int = 0  # corrections of a symmetric-mode factor; 0 if none ran
 
 
 def _default_method(n: int) -> str:
@@ -111,9 +112,9 @@ def _condensed_solver(system):
     interior (I) and element-boundary (B) nodes. One batched inverse of the
     K_II blocks gives the Schur complements K_BB - K_BI K_II^-1 K_IB, which
     are scattered into S over the boundary DOFs; only S is factorized, with
-    the symmetric-mode options SCHUR_SPLU. The explicit inverses cost less
-    than repeated batched solves, and the caller's refinement absorbs their
-    larger rounding error and that of the diagonal pivots.
+    the symmetric-mode options SYMMETRIC_SPLU. The explicit inverses cost
+    less than repeated batched solves, and the caller's refinement absorbs
+    their larger rounding error and that of the diagonal pivots.
     Raises LinAlgError when a K_II block is singular.
     """
     blocks, loc2glob = system.elem_matrices, system.loc2glob
@@ -130,7 +131,7 @@ def _condensed_solver(system):
     local = local.reshape(-1, bb.size)
     acc = _Accumulator()
     acc.add(local, schur)
-    lu = _factorize(acc.matrix(dofs.size, "csc"), **SCHUR_SPLU)
+    lu = _factorize(acc.matrix(dofs.size, "csc"), **SYMMETRIC_SPLU)
 
     def solve(r):
         y = k_inv @ r[glob_i][..., None]
@@ -171,39 +172,45 @@ def _ill_conditioned(a, u, b, residual) -> bool:
 def solve_direct(system, compute_cond: bool = True) -> SolveReport:
     """Direct solve of an AssembledSystem (or anything with .matrix/.rhs).
 
-    Without a condition number, a system that carries element matrices
-    (P >= 3, no pin) is solved by static condensation: the element-interior
-    nodes are eliminated element by element, only the Schur complement on
-    the element-boundary DOFs is LU-factorized, and iterative refinement
-    against the full matrix (`_refine`) brings the error back to that of a
-    plain LU. Every other system, and every solve with a condition number,
-    takes `splu` of the full matrix; the condition number reuses that LU.
-    `factorization` names the path taken, including a fallback to `splu`
-    when an interior block is singular or when the refined residual stays
-    above the `ill_conditioned` bound; `refinement_steps` counts the
+    A system without element matrices (P <= 2, or a pin) factors its full
+    matrix in symmetric mode (`SYMMETRIC_SPLU`). Without a condition number,
+    a system that carries element matrices (P >= 3, no pin) is solved by
+    static condensation: the element-interior nodes are eliminated element
+    by element, and only the Schur complement on the element-boundary DOFs
+    is factorized, in the same mode. Either factor is refined against the
+    full matrix (`_refine`), which brings the error back to that of a plain
+    LU. A system with element matrices that asks for a condition number
+    takes `splu` of the full matrix with its default COLAMD ordering. The
+    condition number reuses the LU the solution came from.
+    `factorization` names the path taken, including a fallback to plain
+    `splu` when an interior block is singular or when the refined residual
+    stays above the `ill_conditioned` bound; `refinement_steps` counts the
     corrections applied, also before such a fallback.
     `residual_inf` and `ill_conditioned` always refer to the full system.
     """
     b = np.asarray(system.rhs, dtype=float)
-    solver, factorization, steps = None, "splu", 0
-    if not compute_cond and getattr(system, "elem_matrices", None) is not None:
-        try:
-            solver = _condensed_solver(system)
-            factorization = "splu-condensed"
-        except np.linalg.LinAlgError as exc:
-            factorization = f"splu (condensation failed: {exc})"
-    # the condensed path only multiplies by A, which assemble builds in CSR
-    a = sp.csc_matrix(system.matrix) if solver is None else system.matrix
+    a = system.matrix
     if a.shape[0] != a.shape[1] or a.shape[0] != b.size:
         raise ValueError("system dimensions are inconsistent")
+    solver, factorization, steps = None, "splu", 0
+    if getattr(system, "elem_matrices", None) is None:
+        lu = _factorize(a, **SYMMETRIC_SPLU)
+        solver, factorization = lu.solve, "splu-symmetric"
+    elif not compute_cond:
+        try:
+            solver, factorization = _condensed_solver(system), "splu-condensed"
+        except np.linalg.LinAlgError as exc:
+            factorization = f"splu (condensation failed: {exc})"
     if solver is not None:
+        # the refined paths only multiply by A, which assemble builds in CSR
         u, residual, steps = _refine(solver, a, b)
         ill_conditioned = _ill_conditioned(a, u, b, residual)
         if ill_conditioned:
-            factorization = (f"splu (condensed refinement stalled at "
-                             f"residual {residual:.1e})")
-            solver, a = None, sp.csc_matrix(a)
+            factorization = (f"splu ({factorization.removeprefix('splu-')} "
+                             f"refinement stalled at residual {residual:.1e})")
+            solver = None
     if solver is None:
+        a = sp.csc_matrix(a)
         lu = _factorize(a)
         u = lu.solve(b)
         residual = float(np.abs(a @ u - b).max())

@@ -1,7 +1,8 @@
-"""Static condensation of element-interior nodes in the condition-free solve.
+"""Static condensation of element-interior nodes in the condition-free solve,
+and the symmetric-mode factor of systems without element matrices.
 
-The plain LU of the full matrix stays the oracle: the condensed and refined
-solution must match it, and must be no less accurate than it where the
+The plain LU of the full matrix stays the oracle: the refined solution of
+either path must match it, and must be no less accurate than it where the
 systems are worst conditioned.
 """
 
@@ -59,7 +60,12 @@ def test_element_matrices_scatter_to_the_system_matrix(method, order):
 
 
 def test_low_order_and_pinned_systems_take_the_plain_path():
-    pinned = BoundaryProblem(conditions=[NeumannBC(0.0)], pin=((0.5, 0.5), 0.0))
+    # without element matrices the full matrix is factored in symmetric mode
+    # and refined; plain LU stays the oracle
+    center = (0.5, 0.5)
+    pinned = BoundaryProblem(
+        conditions=[NeumannBC(MMS.normal_derivative(experiments.FIXTURE_CIRCLE))],
+        forcing=MMS.forcing(0.0), pin=(center, MMS.u(np.array([center]))[0]))
     cases = [
         (experiments.disk_fixture("sbm-i", 0.1, 2), DIRICHLET),
         (experiments.disk_fixture("cbm", 0.1, 1), DIRICHLET),
@@ -69,9 +75,20 @@ def test_low_order_and_pinned_systems_take_the_plain_path():
         system = assemble(domain, problem)
         assert system.elem_matrices is None
         report = solve_direct(system, compute_cond=False)
-        assert report.factorization == "splu"
-        assert report.refinement_steps == 0
-        assert np.array_equal(report.u, plain_splu(system))
+        assert report.factorization == "splu-symmetric"
+        assert 1 <= report.refinement_steps <= MAX_REFINEMENT_STEPS
+        expected = plain_splu(system)
+        assert np.abs(report.u - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_dimensions_are_checked_before_any_factorization(monkeypatch):
+    system = assemble(experiments.disk_fixture("sbm-i", 0.1, 3), DIRICHLET)
+    system.rhs = system.rhs[:-1]
+    calls = []
+    monkeypatch.setattr(solve.spla, "splu", lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(ValueError, match="inconsistent"):
+        solve_direct(system, compute_cond=False)
+    assert calls == []
 
 
 def test_singular_interior_block_falls_back_to_plain_splu():
@@ -104,16 +121,30 @@ def test_refinement_continues_while_the_residual_halves(damping, steps):
                                      rel=1e-6)
 
 
-def test_stalled_refinement_falls_back_to_plain_splu(monkeypatch):
-    system = assemble(experiments.disk_fixture("sbm-i", 0.1, 3), DIRICHLET)
-    monkeypatch.setattr(solve, "_condensed_solver",
-                        lambda system: damped_solver(system, 0.1))
+def assert_falls_back_to_plain_splu(system, path):
     report = solve_direct(system, compute_cond=False)
-    assert report.factorization.startswith("splu (condensed refinement stalled at residual")
+    assert report.factorization.startswith(f"splu ({path} refinement stalled at residual")
     assert report.refinement_steps == 1
     assert np.array_equal(report.u, plain_splu(system))
     assert report.residual_inf == np.abs(system.matrix @ report.u - system.rhs).max()
     assert not report.ill_conditioned
+
+
+def test_stalled_refinement_falls_back_to_plain_splu(monkeypatch):
+    system = assemble(experiments.disk_fixture("sbm-i", 0.1, 3), DIRICHLET)
+    monkeypatch.setattr(solve, "_condensed_solver",
+                        lambda system: damped_solver(system, 0.1))
+    assert_falls_back_to_plain_splu(system, "condensed")
+
+
+def test_stalled_symmetric_refinement_falls_back_to_plain_splu(monkeypatch):
+    # a correction of a tenth of the solve leaves 0.9 of the residual, so
+    # the refinement stops after one step, far above the bound
+    system = assemble(experiments.disk_fixture("sbm-i", 0.1, 2), DIRICHLET)
+    refine = solve._refine
+    monkeypatch.setattr(solve, "_refine",
+                        lambda solver, a, b: refine(lambda r: 0.1 * solver(r), a, b))
+    assert_falls_back_to_plain_splu(system, "symmetric")
 
 
 def recorded_systems(keep, study, *args, **kwargs):
@@ -156,13 +187,13 @@ def extended_precision_solution(system, steps=5):
     return u
 
 
-def assert_as_accurate_as_plain_lu(system):
+def assert_as_accurate_as_plain_lu(system, path="splu-condensed"):
     reference = extended_precision_solution(system)
     report = solve_direct(system, compute_cond=False)
-    assert report.factorization == "splu-condensed"
+    assert report.factorization == path
     plain_error = np.abs(plain_splu(system) - reference).max()
-    condensed_error = np.abs(report.u - reference).max()
-    assert condensed_error <= 2.0 * plain_error
+    refined_error = np.abs(report.u - reference).max()
+    assert refined_error <= 2.0 * plain_error
 
 
 def test_refined_condensed_solve_is_as_accurate_as_plain_lu(sbm_e_p5_systems):
@@ -182,3 +213,30 @@ def test_refinement_reaches_plain_lu_accuracy_on_robin_p7():
         lambda domain, problem: problem.conditions[0].form == "nitsche_full_condition",
         experiments.robin_delta_study, "sbm-i", (0.05,), (7,))
     assert_as_accurate_as_plain_lu(system)
+
+
+NEUMANN_PENALTY = BoundaryProblem(
+    conditions=[NeumannBC(MMS.normal_derivative(experiments.FIXTURE_CIRCLE),
+                          form="with_symmetric_penalty")],
+    forcing=MMS.forcing(1.0), alpha=1.0)
+
+
+def robin_p2_system():
+    """nitsche_full_condition of robin_delta_study("sbm-e") at lc 0.025, P 2."""
+    (system,) = recorded_systems(
+        lambda domain, problem: problem.conditions[0].form == "nitsche_full_condition",
+        experiments.robin_delta_study, "sbm-e", (0.025,), (2,))
+    return system
+
+
+@pytest.mark.parametrize("system", [
+    # measured ratios of the refined symmetric error to plain LU's: 0.82,
+    # 0.13 and 0.43
+    lambda: assemble(experiments.disk_fixture("sbm-i", 0.025, 2), DIRICHLET),
+    lambda: assemble(experiments.disk_fixture("sbm-e", 0.025, 2), NEUMANN_PENALTY),
+    robin_p2_system,
+], ids=["sbm-i-dirichlet", "sbm-e-neumann-penalty", "sbm-e-robin"])
+def test_refined_symmetric_solve_is_as_accurate_as_plain_lu(system):
+    system = system()
+    assert system.elem_matrices is None
+    assert_as_accurate_as_plain_lu(system, path="splu-symmetric")

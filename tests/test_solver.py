@@ -56,7 +56,9 @@ def test_solve_residual_small():
     system, mms = small_system()
     report = solve_direct(system)
     assert report.residual_inf < 1e-10
-    assert report.factorization == "splu"
+    assert report.factorization == "splu-symmetric"
+    expected = spla.splu(sp.csc_matrix(system.matrix)).solve(system.rhs)
+    assert np.abs(report.u - expected).max() <= 1e-12 * np.abs(expected).max()
     assert not report.ill_conditioned
 
 
@@ -146,6 +148,15 @@ def test_dense_cutoff_paths_agree():
         matrix = sp.csr_matrix(rng.standard_normal((n, n)) + 4.0 * np.eye(n))
         assert condition_number(matrix, "svd") == pytest.approx(
             dense_svd_cond(matrix), rel=1e-8)
+
+
+def test_svd_cond_from_the_symmetric_factor_matches_dense_svd():
+    system, _ = small_system(order=2, lc=0.05)
+    assert solve_module.DENSE_LIMIT < system.rhs.size <= SVD_LIMIT
+    report = solve_direct(system)
+    assert report.factorization == "splu-symmetric"
+    assert report.cond_method == "svd"
+    assert report.cond == pytest.approx(dense_svd_cond(system.matrix), rel=1e-8)
 
 
 @pytest.mark.parametrize("size", ["small", "large"])
