@@ -190,7 +190,7 @@ def extended_precision_solution(system, steps=5):
 def assert_as_accurate_as_plain_lu(system, path="splu-condensed"):
     reference = extended_precision_solution(system)
     report = solve_direct(system, compute_cond=False)
-    assert report.factorization == path
+    assert report.factorization.startswith(path)
     plain_error = np.abs(plain_splu(system) - reference).max()
     refined_error = np.abs(report.u - reference).max()
     assert refined_error <= 2.0 * plain_error
@@ -213,6 +213,19 @@ def test_refinement_reaches_plain_lu_accuracy_on_robin_p7():
         lambda domain, problem: problem.conditions[0].form == "nitsche_full_condition",
         experiments.robin_delta_study, "sbm-i", (0.05,), (7,))
     assert_as_accurate_as_plain_lu(system)
+
+
+def test_refinement_stalled_far_from_plain_lu_falls_back():
+    # nitsche_full_condition of robin_delta_study("sbm-e") at lc 0.05, P 7:
+    # 8772 DOF, 1-norm condition estimate 2.8e17. The condensed solve stalls
+    # after one step at residual 0.048, 1.68 from the reference, where plain
+    # LU ends 2.2e-4 away. That residual is under the ill_conditioned bound
+    # (~10) but about 50 n eps / 2 of the same scale, so plain LU takes over
+    (system,) = recorded_systems(
+        lambda domain, problem: problem.conditions[0].form == "nitsche_full_condition",
+        experiments.robin_delta_study, "sbm-e", (0.05,), (7,))
+    assert_as_accurate_as_plain_lu(
+        system, path="splu (condensed refinement stalled at residual")
 
 
 NEUMANN_PENALTY = BoundaryProblem(

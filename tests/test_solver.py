@@ -13,6 +13,7 @@ from sembed.geometry import Circle
 from sembed.meshing import generate_structured_disk
 from sembed.mms import ManufacturedSolution
 from sembed.solve import SVD_LIMIT, condition_number, solve_direct
+from test_condensation import sbm_e_p5_systems  # noqa: F401 (a fixture)
 
 
 def small_system(order=2, lc=0.2):
@@ -210,6 +211,58 @@ def test_solve_direct_reports_condition_number_call(monkeypatch, size, large_sys
     assert args[1] == report.cond_method
     assert isinstance(kwargs["lu"], spla.SuperLU)
     assert report.cond == 123.5
+
+
+class CountingLU:
+    """A splu factorization that records the shape of every right-hand
+    side passed to its solve."""
+
+    def __init__(self, matrix):
+        self.lu = spla.splu(sp.csc_matrix(matrix))
+        self.shapes = []
+
+    def solve(self, rhs, trans="N"):
+        self.shapes.append(np.shape(rhs))
+        return self.lu.solve(rhs, trans=trans)
+
+
+def test_svd_cond_sizes_the_inverse_krylov_space(sbm_e_p5_systems):
+    # with scipy's default ncv the inverse half took 21 applies, 42 solves,
+    # on each of these systems; with INVERSE_NCV it takes 14 to 32, and the
+    # largest difference from the dense SVD is 4.8e-11 relative either way
+    for system in sbm_e_p5_systems:
+        lu = CountingLU(system.matrix)
+        cond = condition_number(system.matrix, "svd", lu=lu)
+        assert len(lu.shapes) < 42
+        assert cond == pytest.approx(dense_svd_cond(system.matrix), rel=1e-9)
+
+
+def test_one_norm_estimate_solves_blocks(large_system):
+    lu = CountingLU(large_system.matrix)
+    assert np.isfinite(condition_number(large_system.matrix, "one_norm_estimate", lu=lu))
+    assert lu.shapes
+    assert all(len(shape) == 2 and shape[1] >= 2 for shape in lu.shapes)
+
+
+def test_one_norm_estimate_takes_the_exact_norm_of_the_matrix(monkeypatch):
+    system, _ = small_system()
+    dense = system.matrix.toarray()
+    kappa = (np.abs(dense).sum(axis=0).max()
+             * np.abs(np.linalg.inv(dense)).sum(axis=0).max())
+    estimate = condition_number(system.matrix, "one_norm_estimate")
+    # the estimate of ||A^-1||_1 is a lower bound up to rounding
+    assert kappa / 3 <= estimate <= kappa * (1 + 1e-12)
+    operators = []
+    onenormest = spla.onenormest
+
+    def spy(operator, *args, **kwargs):
+        operators.append(operator)
+        return onenormest(operator, *args, **kwargs)
+
+    monkeypatch.setattr(solve_module.spla, "onenormest", spy)
+    assert condition_number(system.matrix, "one_norm_estimate") == estimate
+    assert len(operators) == 1
+    assert isinstance(operators[0], spla.LinearOperator)
 
 
 def test_explicit_svd_above_limit_within_estimate(large_system):
