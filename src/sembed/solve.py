@@ -29,9 +29,14 @@ SINGULAR_KAPPA = np.inf
 # The Schur complement S, and the full matrix of a system without element
 # matrices, are structurally symmetric: a minimum-degree ordering of A^T + A
 # with pivots taken from the diagonal about halves the fill of splu's default
-# COLAMD with partial pivoting (README "Solving")
+# COLAMD with partial pivoting (README "Solving"). Neither supernode
+# relaxation nor column panels pay on these 2-D patterns: relax = 1 and
+# panel_size = 1 give the same L + U nnz as SuperLU's defaults (10, 20) and
+# factor disk_lowp_cond's three A in 73 ms against 103, disk_highp's three S
+# in 85 ms against 101 (single-threaded, median of 10 processes per setting;
+# README "Symmetric mode" has the sweep)
 SYMMETRIC_SPLU = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 1e-3,
-                  "options": {"SymmetricMode": True}}
+                  "relax": 1, "panel_size": 1, "options": {"SymmetricMode": True}}
 MAX_REFINEMENT_STEPS = 5
 
 

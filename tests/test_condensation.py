@@ -81,6 +81,40 @@ def test_low_order_and_pinned_systems_take_the_plain_path():
         assert np.abs(report.u - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
+@pytest.mark.parametrize("order, path", [(2, "splu-symmetric"), (4, "splu-condensed")])
+def test_symmetric_mode_blocking_keeps_the_fill_and_the_solution(order, path, monkeypatch):
+    # A of the P 2 disk and S of the P 4 disk at lc 0.05: SYMMETRIC_SPLU's
+    # relax / panel_size fill no more than SuperLU's defaults, and the
+    # refined solution stays on plain LU's
+    system = assemble(experiments.disk_fixture("sbm-i", 0.05, order), DIRICHLET)
+    factored = []
+    factorize = solve._factorize
+    monkeypatch.setattr(solve, "_factorize", lambda matrix, **options: (
+        factored.append(matrix) or factorize(matrix, **options)))
+    report = solve_direct(system, compute_cond=False)
+    assert report.factorization == path
+    (matrix,) = factored
+
+    def fill(**options):
+        lu = spla.splu(sp.csc_matrix(matrix), **options)
+        return lu.L.nnz + lu.U.nnz
+
+    defaults = {k: v for k, v in solve.SYMMETRIC_SPLU.items()
+                if k not in ("relax", "panel_size")}
+    assert fill(**solve.SYMMETRIC_SPLU) <= fill(**defaults)
+    expected = plain_splu(system)
+    assert np.abs(report.u - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_condition_number_solve_with_element_matrices_stays_on_colamd():
+    system = assemble(experiments.disk_fixture("sbm-i", 0.05, 4), DIRICHLET)
+    assert system.elem_matrices is not None
+    report = solve_direct(system)
+    assert report.factorization == "splu"
+    assert report.refinement_steps == 0
+    assert np.array_equal(report.u, plain_splu(system))
+
+
 def test_dimensions_are_checked_before_any_factorization(monkeypatch):
     system = assemble(experiments.disk_fixture("sbm-i", 0.1, 3), DIRICHLET)
     system.rhs = system.rhs[:-1]

@@ -53,6 +53,20 @@ def test_forcing_is_minus_laplacian_plus_reaction():
         )
 
 
+def test_forcing_without_reaction_skips_the_solution():
+    # alpha = 0 gives -laplacian(x) exactly, the value -laplacian(x) + 0 u(x)
+    # has, without evaluating u; other alphas still add alpha u(x)
+    class NoU(ManufacturedSolution):
+        def u(self, x):
+            raise AssertionError("u evaluated at alpha = 0")
+
+    x = np.random.default_rng(0).uniform(-0.5, 1.5, (500, 2))
+    mms = ManufacturedSolution()
+    assert np.array_equal(NoU().forcing(0.0)(x), -mms.laplacian(x))
+    assert np.array_equal(mms.forcing(0.0)(x), -mms.laplacian(x) + 0.0 * mms.u(x))
+    assert np.array_equal(mms.forcing(1.0)(x), -mms.laplacian(x) + 1.0 * mms.u(x))
+
+
 def test_normal_derivative_uses_supplied_normal():
     mms = ManufacturedSolution(wavenumber=1)
     geo = Circle(CENTER, RADIUS)
