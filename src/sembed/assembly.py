@@ -174,24 +174,36 @@ def _eval_flux(data, rec, sel):
 
 
 class _Accumulator:
+    """Sum of element blocks into one sparse matrix.
+
+    The triples (row, col, value) of every batch are written once, straight
+    into index arrays of the dtype scipy picks for an n x n COO matrix, in
+    the order of the batches and, within one, of the blocks' C order.
+    scipy's duplicate sum then adds the same values in the same order as it
+    would for any other construction of that triple sequence.
+    """
+
     def __init__(self):
-        self.rows, self.cols, self.vals = [], [], []
+        self.batches = []
 
     def add(self, gdofs, blocks):
-        """Scatter a batch: blocks[e] couples the global DOFs gdofs[e]."""
-        self.rows.append(np.broadcast_to(gdofs[:, :, None], blocks.shape).ravel())
-        self.cols.append(np.broadcast_to(gdofs[:, None, :], blocks.shape).ravel())
-        self.vals.append(blocks.ravel())
+        """Scatter a batch: blocks[e] couples the global DOFs gdofs[e]. The
+        arrays are kept by reference until `matrix` reads them."""
+        self.batches.append((gdofs, blocks))
 
     def matrix(self, n, fmt="csr"):
-        a = sp.coo_matrix(
-            (
-                np.concatenate(self.vals),
-                (np.concatenate(self.rows), np.concatenate(self.cols)),
-            ),
-            shape=(n, n),
-        )
-        return a.asformat(fmt)
+        size = sum(blocks.size for _, blocks in self.batches)
+        idx_dtype = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+        rows, cols = np.empty(size, idx_dtype), np.empty(size, idx_dtype)
+        vals = np.empty(size)
+        start = 0
+        for gdofs, blocks in self.batches:
+            end = start + blocks.size
+            np.copyto(rows[start:end].reshape(blocks.shape), gdofs[:, :, None])
+            np.copyto(cols[start:end].reshape(blocks.shape), gdofs[:, None, :])
+            np.copyto(vals[start:end].reshape(blocks.shape), blocks)
+            start = end
+        return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).asformat(fmt)
 
 
 def _elem_traces(domain, elem, rec):

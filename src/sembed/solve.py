@@ -184,7 +184,8 @@ def _refine(solver, a, b):
 
 def _residual_scale(a, u, b) -> float:
     """max|A| max(max|u|, 1) + max|b|: the size of the terms of b - A u."""
-    return float(np.abs(a.data).max() * max(np.abs(u).max(), 1.0)
+    # max(max, -min) is max|A| without an nnz-sized temporary
+    return float(max(a.data.max(), -a.data.min()) * max(np.abs(u).max(), 1.0)
                  + np.abs(b).max())
 
 
@@ -216,9 +217,11 @@ def solve_direct(system, compute_cond: bool = True) -> SolveReport:
     a = system.matrix
     if a.shape[0] != a.shape[1] or a.shape[0] != b.size:
         raise ValueError("system dimensions are inconsistent")
-    solver, factorization, steps = None, "splu", 0
+    solver, factorization, steps, csc = None, "splu", 0, None
     if getattr(system, "elem_matrices", None) is None:
-        lu = _factorize(a, **SYMMETRIC_SPLU)
+        # one CSC copy serves the factorization and the condition number
+        csc = sp.csc_matrix(a)
+        lu = _factorize(csc, **SYMMETRIC_SPLU)
         solver, factorization = lu.solve, "splu-symmetric"
     elif not compute_cond:
         try:
@@ -235,14 +238,14 @@ def solve_direct(system, compute_cond: bool = True) -> SolveReport:
                              f"refinement stalled at residual {residual:.1e})")
             solver = None
     if solver is None:
-        a = sp.csc_matrix(a)
-        lu = _factorize(a)
+        csc = sp.csc_matrix(a) if csc is None else csc
+        lu = _factorize(csc)
         u = lu.solve(b)
-        residual = float(np.abs(a @ u - b).max())
-        ill_conditioned = _ill_conditioned(residual, _residual_scale(a, u, b))
+        residual = float(np.abs(csc @ u - b).max())
+        ill_conditioned = _ill_conditioned(residual, _residual_scale(csc, u, b))
     if compute_cond:
         cond_method = _default_method(a.shape[0])
-        cond = condition_number(a, cond_method, lu=lu)
+        cond = condition_number(csc, cond_method, lu=lu)
     else:
         cond, cond_method = float("nan"), "none"
     return SolveReport(

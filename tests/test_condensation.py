@@ -241,8 +241,8 @@ def test_refined_condensed_solve_is_as_accurate_as_plain_lu(sbm_e_p5_systems):
 def test_refinement_reaches_plain_lu_accuracy_on_robin_p7():
     # nitsche_full_condition of robin_delta_study("sbm-i") at lc 0.05, P 7:
     # 11341 DOF, 1-norm condition estimate 6e8. The refined condensed solve
-    # ends 9.9e-12 from the reference, plain LU 8.2e-12; a single fixed
-    # refinement step ends 3.3e-11 away, and this test fails
+    # ends 8.8e-12 from the reference, plain LU 8.2e-12; a single fixed
+    # refinement step ends 3.1e-11 away, and this test fails
     (system,) = recorded_systems(
         lambda domain, problem: problem.conditions[0].form == "nitsche_full_condition",
         experiments.robin_delta_study, "sbm-i", (0.05,), (7,))
@@ -277,8 +277,8 @@ def robin_p2_system():
 
 
 @pytest.mark.parametrize("system", [
-    # measured ratios of the refined symmetric error to plain LU's: 0.82,
-    # 0.13 and 0.43
+    # measured ratios of the refined symmetric error to plain LU's: 0.63,
+    # 0.52 and 0.25
     lambda: assemble(experiments.disk_fixture("sbm-i", 0.025, 2), DIRICHLET),
     lambda: assemble(experiments.disk_fixture("sbm-e", 0.025, 2), NEUMANN_PENALTY),
     robin_p2_system,

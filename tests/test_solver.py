@@ -13,7 +13,8 @@ from sembed.geometry import Circle
 from sembed.meshing import generate_structured_disk
 from sembed.mms import ManufacturedSolution
 from sembed.solve import SVD_LIMIT, condition_number, solve_direct
-from test_condensation import sbm_e_p5_systems  # noqa: F401 (a fixture)
+from test_accumulator import HIGHP
+from test_condensation import DIRICHLET, sbm_e_p5_systems  # noqa: F401 (a fixture)
 
 
 def small_system(order=2, lc=0.2):
@@ -276,3 +277,37 @@ def test_explicit_svd_above_limit_within_estimate(large_system):
 def test_singular_matrix_is_infinite(method, n):
     diagonal = np.arange(n, dtype=float)  # a zero pivot in the first column
     assert condition_number(sp.diags(diagonal).tocsr(), method) == np.inf
+
+
+def disk_systems():
+    """disk_highp's three systems and disk_lowp_cond's P 2 ladder."""
+    cells = [(HIGHP, 4, 0.05), (HIGHP, 4, 0.025), (HIGHP, 8, 0.05),
+             (DIRICHLET, 2, 0.05), (DIRICHLET, 2, 0.025), (DIRICHLET, 2, 0.0125)]
+    for problem, order, lc in cells:
+        yield assemble(experiments.disk_fixture("sbm-i", lc, order), problem)
+
+
+def test_residual_scale_takes_max_abs_without_a_temporary():
+    for system in disk_systems():
+        a, b = system.matrix, system.rhs
+        u = np.linspace(-2.0, 3.0, b.size)
+        expected = np.abs(a.data).max() * max(np.abs(u).max(), 1.0) + np.abs(b).max()
+        assert solve_module._residual_scale(a, u, b) == expected
+        assert solve_module._residual_scale(sp.csc_matrix(a), u, b) == expected
+
+
+@pytest.mark.parametrize("lc, method", [(0.05, "svd"), (0.025, "one_norm_estimate")])
+def test_symmetric_solve_converts_to_csc_once(monkeypatch, lc, method):
+    system = assemble(experiments.disk_fixture("sbm-i", lc, 2), DIRICHLET)
+    # the condition number of the factor the solve takes, from the CSR
+    lu = spla.splu(sp.csc_matrix(system.matrix), **solve_module.SYMMETRIC_SPLU)
+    expected = condition_number(system.matrix, method, lu=lu)
+    conversions = []
+    tocsc = sp.csr_matrix.tocsc
+    monkeypatch.setattr(sp.csr_matrix, "tocsc", lambda self, copy=False: (
+        conversions.append(self.shape) or tocsc(self, copy=copy)))
+    report = solve_direct(system)
+    assert report.factorization == "splu-symmetric"
+    assert report.cond_method == method
+    assert conversions == [system.matrix.shape]
+    assert report.cond == expected
