@@ -176,11 +176,14 @@ def _eval_flux(data, rec, sel):
 class _Accumulator:
     """Sum of element blocks into one sparse matrix.
 
-    The triples (row, col, value) of every batch are written once, straight
-    into index arrays of the dtype scipy picks for an n x n COO matrix, in
-    the order of the batches and, within one, of the blocks' C order.
-    scipy's duplicate sum then adds the same values in the same order as it
-    would for any other construction of that triple sequence.
+    `matrix` writes the unsorted compressed arrays that scipy's coo_tocsr
+    would make from the triples (row, col, value) of every batch in turn,
+    each in its blocks' C order, without forming the triples. In that
+    sequence, block row k of batch entry e (block column k in CSC) is a run
+    of n_p values in the line gdofs[e, k], and a stable argsort of these
+    (entry, k) occurrences by line puts each run where coo_tocsr would.
+    scipy's duplicate sum then sorts and adds each line as it would for the
+    triples, so the summation order is that of any construction of them.
     """
 
     def __init__(self):
@@ -192,18 +195,61 @@ class _Accumulator:
         self.batches.append((gdofs, blocks))
 
     def matrix(self, n, fmt="csr"):
-        size = sum(blocks.size for _, blocks in self.batches)
-        idx_dtype = np.int32 if n <= np.iinfo(np.int32).max else np.int64
-        rows, cols = np.empty(size, idx_dtype), np.empty(size, idx_dtype)
-        vals = np.empty(size)
-        start = 0
-        for gdofs, blocks in self.batches:
-            end = start + blocks.size
-            np.copyto(rows[start:end].reshape(blocks.shape), gdofs[:, :, None])
-            np.copyto(cols[start:end].reshape(blocks.shape), gdofs[:, None, :])
-            np.copyto(vals[start:end].reshape(blocks.shape), blocks)
-            start = end
-        return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).asformat(fmt)
+        cls = sp.csr_matrix if fmt == "csr" else sp.csc_matrix
+        batches = [(g, b) for g, b in self.batches if b.size]
+        if not batches:
+            return cls((n, n))
+        size = sum(b.size for _, b in batches)
+        # the index dtype scipy picks for `size` triples of an n x n matrix
+        idx_dtype = np.int32 if max(size, n) <= np.iinfo(np.int32).max else np.int64
+        lines = np.concatenate([g.ravel() for g, _ in batches], dtype=np.int64)
+        runs = np.repeat([g.shape[1] for g, _ in batches], [g.size for g, _ in batches])
+        # the stable argsort of lines, as a sort of the unique keys (line, occurrence)
+        order = np.sort(lines * lines.size + np.arange(lines.size)) % lines.size
+        sorted_runs = runs[order]
+        starts = np.empty_like(runs)
+        starts[order] = np.cumsum(sorted_runs) - sorted_runs
+        indptr = np.zeros(n + 1, idx_dtype)
+        indptr[1:] = np.cumsum(np.bincount(lines, weights=runs, minlength=n))
+        indices, data = np.empty(size, idx_dtype), np.empty(size)
+        done = 0
+        for gdofs, blocks in batches:
+            n_p = gdofs.shape[1]
+            s = starts[done:done + gdofs.size].reshape(gdofs.shape)
+            done += gdofs.size
+            _runs(indices, n_p)[s] = gdofs[:, None, :]
+            _runs(data, n_p)[s] = blocks if fmt == "csr" else blocks.transpose(0, 2, 1)
+            if fmt == "csc":
+                _interleave_repeats(gdofs, s, (indices, data))
+        a = cls((data, indices, indptr), shape=(n, n))
+        del data, indices
+        a.sum_duplicates()
+        # scipy's prune keeps views onto the size-long arrays while nnz > size / 2;
+        # copied one at a time, each buffer is freed before the next copy
+        if a.data.base is not None and a.nnz < size:
+            a.data = a.data.copy()
+            a.indices = a.indices.copy()
+        return a
+
+
+def _runs(a, length):
+    """Writable view of every run a[k:k + length], as row k."""
+    return np.lib.stride_tricks.sliding_window_view(a, length, writeable=True)
+
+
+def _interleave_repeats(gdofs, starts, arrays):
+    """Where a DOF sits m > 1 times in gdofs[e], its m block columns share
+    one run of m n_p values in CSC, and coo_tocsr fills it row by row: value
+    i of the q-th column lands at i m + q, not at q n_p + i as written.
+    Transpose each such run in place."""
+    n_p = gdofs.shape[1]
+    srt = np.sort(gdofs, axis=1)
+    rep = np.flatnonzero((srt[:, 1:] == srt[:, :-1]).any(axis=1))
+    for e in rep:
+        _, first, counts = np.unique(gdofs[e], return_index=True, return_counts=True)
+        for s, m in zip(starts[e, first[counts > 1]], counts[counts > 1]):
+            for a in arrays:
+                a[s:s + m * n_p] = a[s:s + m * n_p].reshape(m, n_p).T.ravel()
 
 
 def _elem_traces(domain, elem, rec):

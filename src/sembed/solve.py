@@ -34,7 +34,7 @@ SINGULAR_KAPPA = np.inf
 # panel_size = 1 give the same L + U nnz as SuperLU's defaults (10, 20) and
 # factor disk_lowp_cond's three A in 73 ms against 103, disk_highp's three S
 # in 85 ms against 101 (single-threaded, median of 10 processes per setting;
-# README "Symmetric mode" has the sweep)
+# the README of commit 17a05b9 has the sweep's tables)
 SYMMETRIC_SPLU = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 1e-3,
                   "relax": 1, "panel_size": 1, "options": {"SymmetricMode": True}}
 MAX_REFINEMENT_STEPS = 5
@@ -144,7 +144,8 @@ def _condensed_solver(system):
     k_inv = np.linalg.inv(blocks[:, ii[:, None], ii])
     k_bi = blocks[:, bb[:, None], ii]
     x_ib = k_inv @ blocks[:, ii[:, None], bb]
-    schur = blocks[:, bb[:, None], bb] - k_bi @ x_ib
+    schur = blocks[:, bb[:, None], bb]
+    schur -= k_bi @ x_ib
     glob_i = loc2glob[:, ii]
     dofs, local = np.unique(loc2glob[:, bb], return_inverse=True)
     local = local.reshape(-1, bb.size)
