@@ -110,11 +110,6 @@ class AssembledSystem:
     def __post_init__(self):
         self.n_dof = self.rhs.size
 
-    def export_matrix_market(self, path):
-        from scipy.io import mmwrite
-
-        mmwrite(path, self.matrix.tocoo())
-
 
 def build_dof_map(domain: SurrogateDomain):
     """C0 global numbering from mesh topology.
@@ -184,6 +179,11 @@ class _Accumulator:
     (entry, k) occurrences by line puts each run where coo_tocsr would.
     scipy's duplicate sum then sorts and adds each line as it would for the
     triples, so the summation order is that of any construction of them.
+
+    Callers put no DOF twice in one gdofs[e]: loc2glob rows and the
+    condensation's local indices are distinct by construction. In CSC,
+    coo_tocsr interleaves the block columns of such a repeat within their
+    shared run and these runs do not, so the sums would differ at rounding.
     """
 
     def __init__(self):
@@ -219,8 +219,6 @@ class _Accumulator:
             done += gdofs.size
             _runs(indices, n_p)[s] = gdofs[:, None, :]
             _runs(data, n_p)[s] = blocks if fmt == "csr" else blocks.transpose(0, 2, 1)
-            if fmt == "csc":
-                _interleave_repeats(gdofs, s, (indices, data))
         a = cls((data, indices, indptr), shape=(n, n))
         del data, indices
         a.sum_duplicates()
@@ -235,21 +233,6 @@ class _Accumulator:
 def _runs(a, length):
     """Writable view of every run a[k:k + length], as row k."""
     return np.lib.stride_tricks.sliding_window_view(a, length, writeable=True)
-
-
-def _interleave_repeats(gdofs, starts, arrays):
-    """Where a DOF sits m > 1 times in gdofs[e], its m block columns share
-    one run of m n_p values in CSC, and coo_tocsr fills it row by row: value
-    i of the q-th column lands at i m + q, not at q n_p + i as written.
-    Transpose each such run in place."""
-    n_p = gdofs.shape[1]
-    srt = np.sort(gdofs, axis=1)
-    rep = np.flatnonzero((srt[:, 1:] == srt[:, :-1]).any(axis=1))
-    for e in rep:
-        _, first, counts = np.unique(gdofs[e], return_index=True, return_counts=True)
-        for s, m in zip(starts[e, first[counts > 1]], counts[counts > 1]):
-            for a in arrays:
-                a[s:s + m * n_p] = a[s:s + m * n_p].reshape(m, n_p).T.ravel()
 
 
 def _elem_traces(domain, elem, rec):

@@ -147,19 +147,6 @@ class SurrogateDomain:
     def h_avg(self) -> float:
         return float(self.active_edge_lengths().mean())
 
-    def dump_csv(self, path):
-        rec = self.records
-        nq = rec.w.shape[1]
-        columns = (
-            np.repeat(rec.edge, nq), np.repeat(rec.elem, nq),
-            *rec.xbar.reshape(-1, 2).T, *rec.x.reshape(-1, 2).T,
-            *np.repeat(rec.nbar, nq, axis=0).T, *rec.n.reshape(-1, 2).T,
-        )
-        with open(path, "w") as f:
-            f.write("edge,elem,xbar_x,xbar_y,x_x,x_y,nbar_x,nbar_y,n_x,n_y\n")
-            for row in zip(*(c.tolist() for c in columns)):
-                f.write(",".join(map(str, row)) + "\n")
-
 
 def _check_connected(mesh: TriMesh, active: np.ndarray) -> None:
     if active.size == 0:

@@ -1,19 +1,12 @@
-"""Implicit geometries: signed distance, projection, and boundary frames.
+"""Implicit geometries: signed distance, projection, and outward normals.
 
 Convention: the level set is positive inside the domain. The outward normal
-is n = -grad(phi)/|grad(phi)| and the tangent is n rotated by +90 degrees.
+is n = -grad(phi)/|grad(phi)|.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-
-def _rot90(n: np.ndarray) -> np.ndarray:
-    t = np.empty_like(n)
-    t[..., 0] = -n[..., 1]
-    t[..., 1] = n[..., 0]
-    return t
 
 
 class ImplicitGeometry:
@@ -27,9 +20,6 @@ class ImplicitGeometry:
 
     def normal(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def tangent(self, x: np.ndarray) -> np.ndarray:
-        return _rot90(self.normal(x))
 
     def segment(self, x: np.ndarray) -> np.ndarray:
         """Boundary segment id at (projected) points; single-piece default."""

@@ -8,7 +8,6 @@ test suite needs no external mesher.
 from __future__ import annotations
 
 import io
-import json
 import os
 from dataclasses import dataclass, field
 
@@ -31,7 +30,6 @@ class TriMesh:
 
     vertices: np.ndarray
     elements: np.ndarray
-    lc: float | None = None
     edges: np.ndarray = field(init=False)
     edge_elems: np.ndarray = field(init=False)
     elem_edges: np.ndarray = field(init=False)
@@ -148,21 +146,6 @@ class TriMesh:
         b = np.swapaxes(self.affine_b[elem], -1, -2)
         return rs @ b + self.affine_c[elem][..., None, :]
 
-    def element_centroids(self) -> np.ndarray:
-        return self.vertices[self.elements].mean(axis=1)
-
-    def dump_json(self, path):
-        payload = {
-            "vertices": self.vertices.tolist(),
-            "elements": self.elements.tolist(),
-            "lc": self.lc,
-            "n_edges": int(self.edges.shape[0]),
-            "n_boundary_edges": int(self.boundary_edges.size),
-            "h": [self.h_min, self.h_avg, self.h_max],
-        }
-        with open(path, "w") as f:
-            json.dump(payload, f)
-
 
 def _lines(stream):
     # undecodable bytes (a binary MSH body) become U+FFFD, so the parser
@@ -180,7 +163,7 @@ def _lines(stream):
     raise TypeError("expected path or stream")
 
 
-def read_gmsh(path_or_stream, lc: float | None = None) -> TriMesh:
+def read_gmsh(path_or_stream) -> TriMesh:
     """Parse an ASCII MSH v2.2 or v4.1 file; keep triangles and drop lines.
 
     Any truncated or malformed input raises MeshParseError, naming the line
@@ -196,9 +179,9 @@ def read_gmsh(path_or_stream, lc: float | None = None) -> TriMesh:
     if ftype != "0":
         raise MeshParseError("line 2: binary MSH files are not supported")
     if version.startswith("2"):
-        return _read_v2(lines, lc)
+        return _read_v2(lines)
     if version.startswith("4"):
-        return _read_v4(lines, lc)
+        return _read_v4(lines)
     raise MeshParseError(f"line 2: unsupported MSH version {version}")
 
 
@@ -265,7 +248,7 @@ class _Section:
         return tri
 
 
-def _read_v2(lines, lc):
+def _read_v2(lines):
     nodes = _Section(lines, "Nodes")
     n_nodes = nodes.int(nodes.record("node count", 1, 1)[0], "node count", 0)
     coords = {}
@@ -287,10 +270,10 @@ def _read_v2(lines, lc):
             tris.append(elems.triangle(conn, coords))
         elif etype not in (1, 15):  # lines and points are ignored
             raise elems.error(f"unsupported element type {etype}")
-    return _from_tagged(coords, tris, lc)
+    return _from_tagged(coords, tris)
 
 
-def _read_v4(lines, lc):
+def _read_v4(lines):
     nodes = _Section(lines, "Nodes")
     n_blocks = nodes.int(nodes.record("node section header")[0], "block count", 0)
     coords = {}
@@ -321,10 +304,10 @@ def _read_v4(lines, lc):
                 tris.append(elems.triangle(parts[1:], coords))
             elif etype not in (1, 15):
                 raise elems.error(f"unsupported element type {etype}")
-    return _from_tagged(coords, tris, lc)
+    return _from_tagged(coords, tris)
 
 
-def _from_tagged(coords, tris, lc):
+def _from_tagged(coords, tris):
     if not tris:
         raise MeshParseError("no triangles found in file")
     tags = sorted(coords)
@@ -336,7 +319,7 @@ def _from_tagged(coords, tris, lc):
     remap = -np.ones(len(tags), dtype=np.int64)
     remap[used] = np.arange(used.sum())
     try:
-        return TriMesh(vertices[used], remap[elements], lc=lc)
+        return TriMesh(vertices[used], remap[elements])
     except ValueError as exc:
         raise MeshParseError(f"invalid mesh: {exc}") from None
 
@@ -397,9 +380,7 @@ def generate_structured_square(
     ys = np.linspace(y0, y0 + ly, ny + 1)
     pts = []
     for j, y in enumerate(ys):
-        if j == 0 or j == ny:
-            xs = np.linspace(x0, x0 + lx, nx + 1)
-        elif j % 2 == 1:
+        if 0 < j < ny and j % 2 == 1:
             xs = np.concatenate(
                 ([x0], x0 + dx / 2.0 + dx * np.arange(nx), [x0 + lx])
             )
@@ -407,7 +388,7 @@ def generate_structured_square(
             xs = np.linspace(x0, x0 + lx, nx + 1)
         pts.extend((x, y) for x in xs)
     pts = np.array(pts)
-    return TriMesh(pts, _delaunay_triangles(pts), lc=lc)
+    return TriMesh(pts, _delaunay_triangles(pts))
 
 
 def generate_structured_disk(
@@ -448,4 +429,4 @@ def generate_structured_disk(
     # triangulation is the one of the snapped points
     while (out := np.linalg.norm(pts - (cx, cy), axis=1) > radius).any():
         pts[out] = np.nextafter(pts[out], center)
-    return TriMesh(pts, tris, lc=lc)
+    return TriMesh(pts, tris)

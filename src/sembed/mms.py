@@ -1,6 +1,6 @@
 """Manufactured solutions, error measures, and the asymptotic cascade.
 
-The manufactured field is u = cos(k pi x / Lx) sin(k pi y / Ly) + 2x - y
+The manufactured field is u = cos(k pi x) sin(k pi y) + 2x - y
 with k = 5 by default (k = 1 kept as a preset). It is globally smooth, so
 it doubles as the analytic extension of all boundary data outside the
 domain.
@@ -22,16 +22,12 @@ from .solve import solve_direct
 
 @dataclass(frozen=True)
 class ManufacturedSolution:
-    lx: float = 1.0
-    ly: float = 1.0
     wavenumber: int = 5
 
     @property
     def _ab(self):
-        return (
-            self.wavenumber * np.pi / self.lx,
-            self.wavenumber * np.pi / self.ly,
-        )
+        a = self.wavenumber * np.pi
+        return a, a
 
     def u(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -76,10 +72,6 @@ class ManufacturedSolution:
             return (self.grad(x) * np.asarray(n)).sum(axis=1)
 
         return q
-
-
-def nodal_interpolant(system, exact_u) -> np.ndarray:
-    return np.asarray(exact_u(system.dof_coords), dtype=float)
 
 
 def l1_error(domain, system, u_vec, exact_u) -> float:

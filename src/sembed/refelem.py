@@ -292,10 +292,7 @@ class ReferenceElement:
     r: np.ndarray
     s: np.ndarray
     lattice: np.ndarray  # integer barycentric weights of the nodes
-    vandermonde: np.ndarray
     vandermonde_inv: np.ndarray
-    d_r: np.ndarray
-    d_s: np.ndarray
     cub_r: np.ndarray
     cub_s: np.ndarray
     cub_w: np.ndarray
@@ -325,11 +322,7 @@ def build_reference_element(order: int) -> ReferenceElement:
     if not 1 <= order <= MAX_ORDER:
         raise ValueError(f"order must be in [1, {MAX_ORDER}], got {order}")
     r, s = warp_blend_nodes(order)
-    v = modal_basis(order, r, s)
-    v_inv = np.linalg.inv(v)
-    vr, vs = modal_basis_grad(order, r, s)
-    d_r = vr @ v_inv
-    d_s = vs @ v_inv
+    v_inv = np.linalg.inv(modal_basis(order, r, s))
     cr, cs, cw = triangle_cubature(2 * order + 1)
     cub_vr, cub_vs = modal_basis_grad(order, cr, cs)
     eq, ew = np.polynomial.legendre.leggauss(order + 2)
@@ -338,10 +331,7 @@ def build_reference_element(order: int) -> ReferenceElement:
         r=r,
         s=s,
         lattice=lattice_weights(order),
-        vandermonde=v,
         vandermonde_inv=v_inv,
-        d_r=d_r,
-        d_s=d_s,
         cub_r=cr,
         cub_s=cs,
         cub_w=cw,

@@ -123,16 +123,44 @@ def test_scatter_matches_the_concatenating_accumulator(run, count):
         assert_same_matrices(n, batches)
 
 
+def distinct_dofs(rng, n, n_elem, n_p):
+    """(n_elem, n_p) DOFs below n, distinct within each row, as the
+    accumulator requires of its callers."""
+    return rng.permuted(np.tile(np.arange(n), (n_elem, 1)), axis=1)[:, :n_p]
+
+
 def test_scatter_of_random_repeated_blocks_matches():
     # several batches of random blocks on random DOFs; every third element
     # is added twice, so the duplicate sum meets runs of equal triples
     rng = np.random.default_rng(7)
     n, batches = 300, []
     for n_elem, n_p in ((60, 6), (25, 10), (1, 3), (40, 6)):
-        gdofs = rng.integers(0, n, size=(n_elem, n_p))
+        gdofs = distinct_dofs(rng, n, n_elem, n_p)
         gdofs = np.concatenate([gdofs, gdofs[::3]])
         batches.append((gdofs, rng.standard_normal((gdofs.shape[0], n_p, n_p))))
     assert_same_matrices(n, batches)
+
+
+def test_scatter_of_a_repeat_inside_a_block_matches_to_rounding():
+    # a DOF twice in one block: CSR is still bitwise, while CSC sums the
+    # repeated columns in another order, so only its data may round apart
+    rng = np.random.default_rng(3)
+    n, n_p = 20, 6
+    gdofs = rng.integers(0, n, size=(30, n_p))
+    assert (np.diff(np.sort(gdofs, axis=1), axis=1) == 0).any()
+    blocks = rng.standard_normal((30, n_p, n_p))
+    for fmt in ("csr", "csc"):
+        new, old = assembly._Accumulator(), ConcatenatingAccumulator()
+        new.add(gdofs, blocks)
+        old.add(gdofs, blocks)
+        a, b = new.matrix(n, fmt), old.matrix(n, fmt)
+        assert a.format == b.format == fmt
+        assert np.array_equal(a.indptr, b.indptr)
+        assert np.array_equal(a.indices, b.indices)
+        if fmt == "csr":
+            assert np.array_equal(a.data, b.data)
+        else:
+            np.testing.assert_allclose(a.data, b.data, rtol=0, atol=1e-13)
 
 
 def test_scatter_keeps_batches_until_the_matrix_is_built():
@@ -146,16 +174,16 @@ def test_scatter_keeps_batches_until_the_matrix_is_built():
 @st.composite
 def block_batches(draw):
     """(n, batches): block sizes that differ between batches, a few DOFs
-    drawn from a small range, so that they repeat inside a block and across
+    drawn from a small range, distinct inside a block but repeated across
     blocks, batches of zero blocks, and DOFs above that range that no block
     touches."""
     touched = draw(st.integers(1, 8))
     n = touched + draw(st.integers(0, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     batches = []
-    for n_elem, n_p in draw(st.lists(st.tuples(st.integers(0, 5), st.integers(1, 6)),
-                                     min_size=1, max_size=4)):
-        gdofs = rng.integers(0, touched, size=(n_elem, n_p))
+    sizes = st.tuples(st.integers(0, 5), st.integers(1, min(6, touched)))
+    for n_elem, n_p in draw(st.lists(sizes, min_size=1, max_size=4)):
+        gdofs = distinct_dofs(rng, touched, n_elem, n_p)
         batches.append((gdofs, rng.standard_normal((n_elem, n_p, n_p))))
     return n, batches
 

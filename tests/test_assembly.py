@@ -232,18 +232,6 @@ def test_assembly_deterministic():
     assert np.array_equal(s1.rhs, s2.rhs)
 
 
-def test_matrix_market_export(tmp_path):
-    domain = conformal_domain(order=1, lc=0.25)
-    problem = BoundaryProblem(conditions=[DirichletBC(lambda x: x[..., 0])])
-    system = assemble(domain, problem)
-    path = tmp_path / "system.mtx"
-    system.export_matrix_market(path)
-    from scipy.io import mmread
-
-    back = mmread(str(path)).tocsr()
-    assert np.abs((back - system.matrix)).max() < 1e-15
-
-
 def _per_record_traces(domain, elem, rec):
     # The per-record basis evaluation that the domain's shared trace table
     # replaced, kept as the reference for it.

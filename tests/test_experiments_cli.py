@@ -7,6 +7,7 @@ import logging
 import numpy as np
 import pytest
 
+import sembed
 from sembed import cli, experiments
 from sembed.experiments import (
     CSV_COLUMNS,
@@ -98,6 +99,15 @@ def test_csv_rows_deterministic(tmp_path):
                     for row in csv.DictReader(fh)]
         runs.append(rows)
     assert runs[0] == runs[1]
+
+
+def test_every_public_name_resolves():
+    # the package imports its exports lazily, so a stale entry would fail
+    # only at first use
+    for name in sembed.__all__:
+        assert callable(getattr(sembed, name)), name
+    with pytest.raises(AttributeError):
+        sembed.no_such_name
 
 
 def test_cli_smoke(capsys):

@@ -21,12 +21,12 @@ from sembed.meshing import (
 
 def unit_triangle():
     v = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    return TriMesh(v, np.array([[0, 1, 2]]), lc=1.0)
+    return TriMesh(v, np.array([[0, 1, 2]]))
 
 
 def test_orientation_forced_ccw():
     v = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    mesh = TriMesh(v, np.array([[0, 2, 1]]), lc=1.0)  # clockwise input
+    mesh = TriMesh(v, np.array([[0, 2, 1]]))  # clockwise input
     a, b, c = mesh.vertices[mesh.elements[0]]
     e1, e2 = b - a, c - a
     assert e1[0] * e2[1] - e1[1] * e2[0] > 0
@@ -35,7 +35,7 @@ def test_orientation_forced_ccw():
 def test_degenerate_element_rejected():
     v = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
     with pytest.raises(ValueError):
-        TriMesh(v, np.array([[0, 1, 2]]), lc=1.0)
+        TriMesh(v, np.array([[0, 1, 2]]))
 
 
 def test_edge_tables_consistent():
@@ -220,19 +220,9 @@ $EndElements
     assert mesh.vertices.shape[0] == 3
 
 
-def test_dump_json_roundtrips(tmp_path):
-    import json
-
-    mesh = unit_triangle()
-    path = tmp_path / "mesh.json"
-    mesh.dump_json(path)
-    data = json.loads(path.read_text())
-    assert np.allclose(np.array(data["vertices"]), mesh.vertices)
-
-
 def _two_triangles():
     v = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    return TriMesh(v, np.array([[0, 1, 2], [0, 2, 3]]), lc=1.0)
+    return TriMesh(v, np.array([[0, 1, 2], [0, 2, 3]]))
 
 
 def _v22_text():

@@ -11,7 +11,6 @@ from sembed.mms import (
     ManufacturedSolution,
     ap_cascade,
     l1_error,
-    nodal_interpolant,
     residual_l1,
 )
 from sembed.solve import solve_direct
@@ -89,19 +88,19 @@ def _system(order=3, lc=0.15, wavenumber=1):
 
 def test_l1_error_of_exact_interpolant_small():
     domain, system, mms = _system(order=4)
-    u_i = nodal_interpolant(system, mms.u)
+    u_i = mms.u(system.dof_coords)
     err = l1_error(domain, system, u_i, mms.u)
     # interpolation error only: far below the solve error scale
     assert err < 1e-5
     # and exactly zero for a field in the space
     lin = lambda x: 1.0 + 2.0 * x[..., 0] - 0.5 * x[..., 1]
-    assert l1_error(domain, system, nodal_interpolant(system, lin), lin) < 1e-13
+    assert l1_error(domain, system, lin(system.dof_coords), lin) < 1e-13
 
 
 def test_l1_error_scales_with_area():
     # constant offset integrates to offset * |domain|
     domain, system, mms = _system(order=2)
-    u_i = nodal_interpolant(system, mms.u)
+    u_i = mms.u(system.dof_coords)
     off = l1_error(domain, system, u_i + 1.0, mms.u)
     # polygonal facets undercut the circle, so only a loose match
     assert off == pytest.approx(np.pi * RADIUS**2, rel=5e-2)
