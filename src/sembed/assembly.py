@@ -11,7 +11,7 @@ formulation explicitly pairs with v(x).
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -99,16 +99,10 @@ class AssembledSystem:
     rhs: np.ndarray
     dof_coords: np.ndarray
     loc2glob: np.ndarray  # (n_active, n_ep) global DOF per element-local node
-    active: np.ndarray
-    h_avg: float
     gamma: float
     # (n_active, n_p, n_p) summed volume and boundary block of each active
     # element, kept at P >= 3 without a pin for the condensed solve; else None
     elem_matrices: np.ndarray | None = None
-    n_dof: int = field(init=False)
-
-    def __post_init__(self):
-        self.n_dof = self.rhs.size
 
 
 def build_dof_map(domain: SurrogateDomain):
@@ -168,71 +162,56 @@ def _eval_flux(data, rec, sel):
     return _eval_field(data, rec, sel)
 
 
-class _Accumulator:
-    """Sum of element blocks into one sparse matrix.
+def _scatter(n, batches, fmt="csr"):
+    """Sum of element blocks into one n x n sparse matrix: blocks[e] of each
+    batch (gdofs, blocks) couples the global DOFs gdofs[e].
 
-    `matrix` writes the unsorted compressed arrays that scipy's coo_tocsr
-    would make from the triples (row, col, value) of every batch in turn,
-    each in its blocks' C order, without forming the triples. In that
-    sequence, block row k of batch entry e (block column k in CSC) is a run
-    of n_p values in the line gdofs[e, k], and a stable argsort of these
-    (entry, k) occurrences by line puts each run where coo_tocsr would.
-    scipy's duplicate sum then sorts and adds each line as it would for the
-    triples, so the summation order is that of any construction of them.
+    Writes the unsorted compressed arrays that scipy's coo_tocsr would make
+    from the triples (row, col, value) of every batch in turn, each in its
+    blocks' C order, without forming the triples. In that sequence, block
+    row k of batch entry e (block column k in CSC) is a run of n_p values in
+    the line gdofs[e, k], and the rank of these (entry, k) occurrences in
+    the stable order of lines is the run's slot. scipy's duplicate sum then
+    sorts and adds each line as it would for the triples, so the summation
+    order is that of any construction of them.
 
-    Callers put no DOF twice in one gdofs[e]: loc2glob rows and the
-    condensation's local indices are distinct by construction. In CSC,
-    coo_tocsr interleaves the block columns of such a repeat within their
-    shared run and these runs do not, so the sums would differ at rounding.
+    Callers give every block of one matrix the same size n_p, and put no
+    DOF twice in one gdofs[e]: loc2glob rows and the condensation's local
+    indices are distinct by construction. In CSC, coo_tocsr interleaves the
+    block columns of such a repeat within their shared run and the slots do
+    not, so the sums would differ at rounding.
     """
-
-    def __init__(self):
-        self.batches = []
-
-    def add(self, gdofs, blocks):
-        """Scatter a batch: blocks[e] couples the global DOFs gdofs[e]. The
-        arrays are kept by reference until `matrix` reads them."""
-        self.batches.append((gdofs, blocks))
-
-    def matrix(self, n, fmt="csr"):
-        cls = sp.csr_matrix if fmt == "csr" else sp.csc_matrix
-        batches = [(g, b) for g, b in self.batches if b.size]
-        if not batches:
-            return cls((n, n))
-        size = sum(b.size for _, b in batches)
-        # the index dtype scipy picks for `size` triples of an n x n matrix
-        idx_dtype = np.int32 if max(size, n) <= np.iinfo(np.int32).max else np.int64
-        lines = np.concatenate([g.ravel() for g, _ in batches], dtype=np.int64)
-        runs = np.repeat([g.shape[1] for g, _ in batches], [g.size for g, _ in batches])
-        # the stable argsort of lines, as a sort of the unique keys (line, occurrence)
-        order = np.sort(lines * lines.size + np.arange(lines.size)) % lines.size
-        sorted_runs = runs[order]
-        starts = np.empty_like(runs)
-        starts[order] = np.cumsum(sorted_runs) - sorted_runs
-        indptr = np.zeros(n + 1, idx_dtype)
-        indptr[1:] = np.cumsum(np.bincount(lines, weights=runs, minlength=n))
-        indices, data = np.empty(size, idx_dtype), np.empty(size)
-        done = 0
-        for gdofs, blocks in batches:
-            n_p = gdofs.shape[1]
-            s = starts[done:done + gdofs.size].reshape(gdofs.shape)
-            done += gdofs.size
-            _runs(indices, n_p)[s] = gdofs[:, None, :]
-            _runs(data, n_p)[s] = blocks if fmt == "csr" else blocks.transpose(0, 2, 1)
-        a = cls((data, indices, indptr), shape=(n, n))
-        del data, indices
-        a.sum_duplicates()
-        # scipy's prune keeps views onto the size-long arrays while nnz > size / 2;
-        # copied one at a time, each buffer is freed before the next copy
-        if a.data.base is not None and a.nnz < size:
-            a.data = a.data.copy()
-            a.indices = a.indices.copy()
-        return a
-
-
-def _runs(a, length):
-    """Writable view of every run a[k:k + length], as row k."""
-    return np.lib.stride_tricks.sliding_window_view(a, length, writeable=True)
+    cls = sp.csr_matrix if fmt == "csr" else sp.csc_matrix
+    batches = [(g, b) for g, b in batches if b.size]
+    if not batches:
+        return cls((n, n))
+    n_p = batches[0][0].shape[1]
+    lines = np.concatenate([g.ravel() for g, _ in batches], dtype=np.int64)
+    size = lines.size * n_p
+    # the index dtype scipy picks for `size` triples of an n x n matrix
+    idx_dtype = np.int32 if max(size, n) <= np.iinfo(np.int32).max else np.int64
+    # the stable argsort of lines, as a sort of the unique keys (line, occurrence)
+    order = np.sort(lines * lines.size + np.arange(lines.size)) % lines.size
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    indptr = np.zeros(n + 1, idx_dtype)
+    indptr[1:] = n_p * np.cumsum(np.bincount(lines, minlength=n))
+    indices, data = np.empty(size, idx_dtype), np.empty(size)
+    done = 0
+    for gdofs, blocks in batches:
+        slot = rank[done:done + gdofs.size].reshape(gdofs.shape)
+        done += gdofs.size
+        indices.reshape(-1, n_p)[slot] = gdofs[:, None, :]
+        data.reshape(-1, n_p)[slot] = blocks if fmt == "csr" else blocks.transpose(0, 2, 1)
+    a = cls((data, indices, indptr), shape=(n, n))
+    del data, indices
+    a.sum_duplicates()
+    # scipy's prune keeps views onto the size-long arrays while nnz > size / 2;
+    # copied one at a time, each buffer is freed before the next copy
+    if a.data.base is not None and a.nnz < size:
+        a.data = a.data.copy()
+        a.indices = a.indices.copy()
+    return a
 
 
 def _elem_traces(domain, elem, rec):
@@ -354,8 +333,6 @@ def assemble(
     g = (binv @ binv.transpose(0, 2, 1)).reshape(-1, 4)
     coeffs = np.column_stack([g, np.full(active.size, problem.alpha)])
     volume = ((jac[:, None] * coeffs) @ ref).reshape(-1, elem.n_points, elem.n_points)
-    acc = _Accumulator()
-    acc.add(loc2glob, volume)
 
     rs_cub = np.column_stack([elem.cub_r, elem.cub_s])
     xq = mesh.to_physical(active, rs_cub).reshape(-1, 2)
@@ -365,8 +342,7 @@ def assemble(
     local = (jac[:, None] * elem.cub_w * fq) @ phi
     rhs = np.bincount(loc2glob.ravel(), weights=local.ravel(), minlength=n_dof)
 
-    h_avg = domain.h_avg
-    gamma_global = problem.gamma if problem.gamma is not None else h_avg / 2.0
+    gamma_global = problem.gamma if problem.gamma is not None else domain.h_avg / 2.0
     records = domain.records
     matched, traces = [], []
     for rec in records:
@@ -408,10 +384,9 @@ def assemble(
         )
     rows = domain.active_row[records.elem]
     gdofs = loc2glob[rows]
-    acc.add(gdofs, blocks)
     np.add.at(rhs, gdofs, bvecs[..., 0])
 
-    matrix = acc.matrix(n_dof)
+    matrix = _scatter(n_dof, [(loc2glob, volume), (gdofs, blocks)])
     elem_matrices = None
     if domain.order >= 3 and problem.pin is None:
         # the matrix is built, so `volume` can take the boundary blocks
@@ -431,8 +406,6 @@ def assemble(
         rhs=rhs,
         dof_coords=dof_coords,
         loc2glob=loc2glob,
-        active=domain.active,
-        h_avg=h_avg,
         gamma=gamma_global,
         elem_matrices=elem_matrices,
     )

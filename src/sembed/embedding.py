@@ -166,12 +166,11 @@ def _check_connected(mesh: TriMesh, active: np.ndarray) -> None:
 
 def _surrogate_edges(mesh: TriMesh, keep_elem: np.ndarray):
     """Edges of kept elements facing a non-kept element or the mesh hull,
-    in edge order. Returns (edge index, owning element) pairs."""
+    in edge order. Returns the arrays (edge indices, owning elements)."""
     e0, e1 = mesh.edge_elems.T
     k0 = keep_elem[e0]
     edges = np.flatnonzero(k0 != ((e1 >= 0) & keep_elem[e1]))
-    owners = np.where(k0, e0, e1)[edges]
-    return list(zip(edges.tolist(), owners.tolist()))
+    return edges, np.where(k0, e0, e1)[edges]
 
 
 def _edge_records(mesh: TriMesh, geometry, mapping_kind, edges, owners,
@@ -334,8 +333,7 @@ def build_surrogate(
     active = np.flatnonzero(keep)
     _check_connected(mesh, active)
 
-    pairs = np.array(_surrogate_edges(mesh, keep), dtype=np.int64)
-    edges, owners = pairs.reshape(-1, 2).T
+    edges, owners = _surrogate_edges(mesh, keep)
     records = _edge_records(mesh, geometry, mapping_kind, edges, owners, order)
     return SurrogateDomain(
         mesh=mesh,

@@ -24,32 +24,27 @@ from .solve import solve_direct
 class ManufacturedSolution:
     wavenumber: int = 5
 
-    @property
-    def _ab(self):
-        a = self.wavenumber * np.pi
-        return a, a
-
     def u(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        a, b = self._ab
+        k = self.wavenumber * np.pi
         return (
-            np.cos(a * x[:, 0]) * np.sin(b * x[:, 1])
+            np.cos(k * x[:, 0]) * np.sin(k * x[:, 1])
             + 2.0 * x[:, 0]
             - x[:, 1]
         )
 
     def grad(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        a, b = self._ab
+        k = self.wavenumber * np.pi
         g = np.empty_like(x)
-        g[:, 0] = -a * np.sin(a * x[:, 0]) * np.sin(b * x[:, 1]) + 2.0
-        g[:, 1] = b * np.cos(a * x[:, 0]) * np.cos(b * x[:, 1]) - 1.0
+        g[:, 0] = -k * np.sin(k * x[:, 0]) * np.sin(k * x[:, 1]) + 2.0
+        g[:, 1] = k * np.cos(k * x[:, 0]) * np.cos(k * x[:, 1]) - 1.0
         return g
 
     def laplacian(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        a, b = self._ab
-        return -(a * a + b * b) * np.cos(a * x[:, 0]) * np.sin(b * x[:, 1])
+        k = self.wavenumber * np.pi
+        return -(k * k + k * k) * np.cos(k * x[:, 0]) * np.sin(k * x[:, 1])
 
     def forcing(self, alpha: float = 0.0):
         if alpha == 0.0:

@@ -9,7 +9,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import _Accumulator
+from .assembly import _scatter
 from .refelem import lattice_weights
 
 SVD_LIMIT = 2000  # above this, the default is the 1-norm estimator
@@ -149,9 +149,7 @@ def _condensed_solver(system):
     glob_i = loc2glob[:, ii]
     dofs, local = np.unique(loc2glob[:, bb], return_inverse=True)
     local = local.reshape(-1, bb.size)
-    acc = _Accumulator()
-    acc.add(local, schur)
-    lu = _factorize(acc.matrix(dofs.size, "csc"), **SYMMETRIC_SPLU)
+    lu = _factorize(_scatter(dofs.size, [(local, schur)], "csc"), **SYMMETRIC_SPLU)
 
     def solve(r):
         y = k_inv @ r[glob_i][..., None]

@@ -1,5 +1,5 @@
-"""`assembly._Accumulator`, which writes the compressed arrays straight
-from the blocks, against the concatenating accumulator it replaced: the
+"""`assembly._scatter`, which writes the compressed arrays straight from
+the blocks, against the concatenating accumulator it replaced: the
 matrices it builds must be equal array for array, dtypes included, and
 `assemble` must stay within a bound on its transient memory."""
 
@@ -42,29 +42,31 @@ class ConcatenatingAccumulator:
 
 
 def recorded(run):
-    """The (n, batches) of every matrix the accumulator built during run().
-    The batches are copied, as the callers may overwrite them after that."""
-    built = []
+    """The (n, batches) of every matrix scattered during run(). The batches
+    are copied, as the callers may overwrite them after that."""
+    built, plain = [], assembly._scatter
 
-    class Recorded(assembly._Accumulator):
-        def matrix(self, n, fmt="csr"):
-            built.append((n, [(g.copy(), b.copy()) for g, b in self.batches]))
-            return super().matrix(n, fmt)
+    def scatter(n, batches, fmt="csr"):
+        built.append((n, [(g.copy(), b.copy()) for g, b in batches]))
+        return plain(n, batches, fmt)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(assembly, "_Accumulator", Recorded)
-        mp.setattr(solve, "_Accumulator", Recorded)
+        mp.setattr(assembly, "_scatter", scatter)
+        mp.setattr(solve, "_scatter", scatter)
         run()
     return built
 
 
+def concatenated(n, batches, fmt):
+    old = ConcatenatingAccumulator()
+    for gdofs, blocks in batches:
+        old.add(gdofs, blocks)
+    return old.matrix(n, fmt)
+
+
 def assert_same_matrices(n, batches):
     for fmt in ("csr", "csc"):
-        new, old = assembly._Accumulator(), ConcatenatingAccumulator()
-        for gdofs, blocks in batches:
-            new.add(gdofs, blocks)
-            old.add(gdofs, blocks)
-        a, b = new.matrix(n, fmt), old.matrix(n, fmt)
+        a, b = assembly._scatter(n, batches, fmt), concatenated(n, batches, fmt)
         assert a.format == b.format == fmt
         for name in ("indptr", "indices", "data"):
             x, y = getattr(a, name), getattr(b, name)
@@ -124,21 +126,24 @@ def test_scatter_matches_the_concatenating_accumulator(run, count):
 
 
 def distinct_dofs(rng, n, n_elem, n_p):
-    """(n_elem, n_p) DOFs below n, distinct within each row, as the
-    accumulator requires of its callers."""
+    """(n_elem, n_p) DOFs below n, distinct within each row, as `_scatter`
+    requires of its callers."""
     return rng.permuted(np.tile(np.arange(n), (n_elem, 1)), axis=1)[:, :n_p]
 
 
 def test_scatter_of_random_repeated_blocks_matches():
-    # several batches of random blocks on random DOFs; every third element
-    # is added twice, so the duplicate sum meets runs of equal triples
+    # per block size, several batches of random blocks on random DOFs; every
+    # third element is added twice, so the duplicate sum meets runs of equal
+    # triples
     rng = np.random.default_rng(7)
-    n, batches = 300, []
-    for n_elem, n_p in ((60, 6), (25, 10), (1, 3), (40, 6)):
-        gdofs = distinct_dofs(rng, n, n_elem, n_p)
-        gdofs = np.concatenate([gdofs, gdofs[::3]])
-        batches.append((gdofs, rng.standard_normal((gdofs.shape[0], n_p, n_p))))
-    assert_same_matrices(n, batches)
+    n = 300
+    for n_p in (3, 6, 10):
+        batches = []
+        for n_elem in (60, 25, 1, 40):
+            gdofs = distinct_dofs(rng, n, n_elem, n_p)
+            gdofs = np.concatenate([gdofs, gdofs[::3]])
+            batches.append((gdofs, rng.standard_normal((gdofs.shape[0], n_p, n_p))))
+        assert_same_matrices(n, batches)
 
 
 def test_scatter_of_a_repeat_inside_a_block_matches_to_rounding():
@@ -150,10 +155,8 @@ def test_scatter_of_a_repeat_inside_a_block_matches_to_rounding():
     assert (np.diff(np.sort(gdofs, axis=1), axis=1) == 0).any()
     blocks = rng.standard_normal((30, n_p, n_p))
     for fmt in ("csr", "csc"):
-        new, old = assembly._Accumulator(), ConcatenatingAccumulator()
-        new.add(gdofs, blocks)
-        old.add(gdofs, blocks)
-        a, b = new.matrix(n, fmt), old.matrix(n, fmt)
+        batches = [(gdofs, blocks)]
+        a, b = assembly._scatter(n, batches, fmt), concatenated(n, batches, fmt)
         assert a.format == b.format == fmt
         assert np.array_equal(a.indptr, b.indptr)
         assert np.array_equal(a.indices, b.indices)
@@ -163,26 +166,18 @@ def test_scatter_of_a_repeat_inside_a_block_matches_to_rounding():
             np.testing.assert_allclose(a.data, b.data, rtol=0, atol=1e-13)
 
 
-def test_scatter_keeps_batches_until_the_matrix_is_built():
-    acc = assembly._Accumulator()
-    gdofs, blocks = np.array([[0, 2]]), np.ones((1, 2, 2))
-    acc.add(gdofs, blocks)
-    blocks *= 3.0
-    assert acc.matrix(3).toarray().tolist() == [[3, 0, 3], [0, 0, 0], [3, 0, 3]]
-
-
 @st.composite
 def block_batches(draw):
-    """(n, batches): block sizes that differ between batches, a few DOFs
-    drawn from a small range, distinct inside a block but repeated across
-    blocks, batches of zero blocks, and DOFs above that range that no block
+    """(n, batches): one block size per matrix, a few DOFs drawn from a
+    small range, distinct inside a block but repeated across blocks,
+    batches of zero blocks, and DOFs above that range that no block
     touches."""
     touched = draw(st.integers(1, 8))
     n = touched + draw(st.integers(0, 3))
+    n_p = draw(st.integers(1, min(6, touched)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     batches = []
-    sizes = st.tuples(st.integers(0, 5), st.integers(1, min(6, touched)))
-    for n_elem, n_p in draw(st.lists(sizes, min_size=1, max_size=4)):
+    for n_elem in draw(st.lists(st.integers(0, 5), min_size=1, max_size=4)):
         gdofs = distinct_dofs(rng, touched, n_elem, n_p)
         batches.append((gdofs, rng.standard_normal((n_elem, n_p, n_p))))
     return n, batches
@@ -194,10 +189,7 @@ def test_scatter_of_any_batches_matches(case):
     n, batches = case
     assert_same_matrices(n, batches)
     for fmt in ("csr", "csc"):
-        acc = assembly._Accumulator()
-        for gdofs, blocks in batches:
-            acc.add(gdofs, blocks)
-        a = acc.matrix(n, fmt)
+        a = assembly._scatter(n, batches, fmt)
         # the matrix holds no buffer beyond its nnz entries
         for x in (a.indices, a.data):
             assert x.size == a.nnz

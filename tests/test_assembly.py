@@ -514,7 +514,7 @@ def test_volume_terms_and_l1_match_per_element_oracle(monkeypatch, method):
                 (np.zeros((rec.w.size, el.n_points)),) * 4))
             volume = assemble(domain, problem)
         matrix, rhs = _per_element_volume(
-            domain, problem, volume.loc2glob, volume.n_dof
+            domain, problem, volume.loc2glob, volume.rhs.size
         )
         assert abs(volume.matrix - matrix).max() <= 1e-12 * abs(matrix).max()
         assert np.abs(volume.rhs - rhs).max() <= 1e-12 * np.abs(rhs).max()

@@ -16,8 +16,8 @@ from sembed.assembly import (
     DirichletBC,
     NeumannBC,
     RobinBC,
-    _Accumulator,
     _match_condition,
+    _scatter,
     _takes_normal,
     assemble,
     build_dof_map,
@@ -61,8 +61,7 @@ def per_record_assemble(domain, problem):
     g = (binv @ binv.transpose(0, 2, 1)).reshape(-1, 4)
     coeffs = np.column_stack([g, np.full(active.size, problem.alpha)])
     blocks = (jac[:, None] * coeffs) @ ref
-    acc = _Accumulator()
-    acc.add(loc2glob, blocks.reshape(-1, elem.n_points, elem.n_points))
+    batches = [(loc2glob, blocks.reshape(-1, elem.n_points, elem.n_points))]
 
     rs_cub = np.column_stack([elem.cub_r, elem.cub_s])
     xq = mesh.to_physical(active, rs_cub).reshape(-1, 2)
@@ -72,8 +71,7 @@ def per_record_assemble(domain, problem):
     local = (jac[:, None] * elem.cub_w * fq) @ phi
     rhs = np.bincount(loc2glob.ravel(), weights=local.ravel(), minlength=n_dof)
 
-    h_avg = domain.h_avg
-    gamma_global = problem.gamma if problem.gamma is not None else h_avg / 2.0
+    gamma_global = problem.gamma if problem.gamma is not None else domain.h_avg / 2.0
     takes_normal = {
         id(c): _takes_normal(c.data if isinstance(c, NeumannBC) else c.q_data)
         for c in problem.conditions
@@ -154,14 +152,13 @@ def per_record_assemble(domain, problem):
             block += (test * (w * c2)[:, None]).T @ gmapn
             bvec += test.T @ (w * c1 * ud) + test.T @ (w * qdat)
 
-        acc.add(gdofs[None], block[None])
+        batches.append((gdofs[None], block[None]))
         rhs[gdofs] += bvec
 
-    matrix = acc.matrix(n_dof)
     assert problem.pin is None
     return AssembledSystem(
-        matrix=matrix, rhs=rhs, dof_coords=dof_coords, loc2glob=loc2glob,
-        active=domain.active, h_avg=h_avg, gamma=gamma_global,
+        matrix=_scatter(n_dof, batches), rhs=rhs, dof_coords=dof_coords,
+        loc2glob=loc2glob, gamma=gamma_global,
     )
 
 

@@ -53,8 +53,9 @@ def test_condensed_matches_plain_splu(method, order):
 @pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("order", [3, 8])
 def test_element_matrices_scatter_to_the_system_matrix(method, order):
-    system = assemble(experiments.disk_fixture(method, 0.1, order), DIRICHLET)
-    assert system.elem_matrices.shape == (system.active.size,) + system.loc2glob.shape[1:] * 2
+    domain = experiments.disk_fixture(method, 0.1, order)
+    system = assemble(domain, DIRICHLET)
+    assert system.elem_matrices.shape == (domain.active.size,) + system.loc2glob.shape[1:] * 2
     difference = abs(scatter(system) - system.matrix).max()
     assert difference <= 1e-13 * abs(system.matrix).max()
 

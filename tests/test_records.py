@@ -132,7 +132,7 @@ def oracle_build_surrogate(mesh, geometry, mode, mapping_kind, order):
     gq, gw = elem.edge_q, elem.edge_w
     fractions = 0.5 * (gq + 1.0)
     records = []
-    for edge, owner in _surrogate_edges(mesh, keep):
+    for edge, owner in zip(*_surrogate_edges(mesh, keep)):
         a, b, length, nbar = _edge_frame(mesh, edge, owner)
         xbar = a + fractions[:, None] * (b - a)
         w = 0.5 * length * gw

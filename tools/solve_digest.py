@@ -1,0 +1,67 @@
+"""Digest of every solve in the benchmark's workload passes.
+
+Runs one pass of each workload in ``perfbench/bench.py`` (``random_embedding``
+at seeds 0-9) with ``solve_direct`` and ``l1_error`` wrapped, and prints one
+line per cell: the sha256 of the solution ``u``, then ``cond``,
+``residual_inf`` and the L1 error by ``repr``. Two trees whose digests differ
+in any byte do not solve bitwise alike.
+
+    python tools/solve_digest.py [ROOT]
+
+ROOT is the source tree to import ``src/`` and ``perfbench/`` from (default:
+this script's repository), so the script can digest a tree that predates
+it. Pin BLAS to one thread (OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1
+MKL_NUM_THREADS=1) when comparing two trees.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import sys
+from pathlib import Path
+
+SEEDS = range(10)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("root", nargs="?", type=Path,
+                        default=Path(__file__).resolve().parents[1])
+    root = parser.parse_args(argv).root.resolve()
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+
+    import bench
+    from sembed import experiments, mms, solve
+
+    cells = []
+    solve_direct, l1_error = solve.solve_direct, mms.l1_error
+
+    def solve_and_record(*args, **kwargs):
+        report = solve_direct(*args, **kwargs)
+        digest = hashlib.sha256(report.u.tobytes()).hexdigest()
+        cells.append([digest, repr(report.cond), repr(report.residual_inf), "-"])
+        return report
+
+    def l1_and_record(*args, **kwargs):
+        err = l1_error(*args, **kwargs)
+        cells[-1][3] = repr(err)
+        return err
+
+    for module in (solve, mms, experiments):
+        if hasattr(module, "solve_direct"):
+            module.solve_direct = solve_and_record
+        if hasattr(module, "l1_error"):
+            module.l1_error = l1_and_record
+
+    for name, (run_pass, _, takes_seed) in bench.WORKLOADS.items():
+        for seed in SEEDS if takes_seed else (None,):
+            cells.clear()
+            run_pass(seed)
+            label = name if seed is None else f"{name}/seed={seed}"
+            for i, cell in enumerate(cells):
+                print(label, i, *cell)
+
+
+if __name__ == "__main__":
+    main()
