@@ -35,10 +35,10 @@ _EXPORTS = {
     "ExperimentSpec": "experiments",
     "run_experiment": "experiments",
     "random_embedding_assessment": "experiments",
+    "ap_cascade": "experiments",
     "ManufacturedSolution": "mms",
     "l1_error": "mms",
     "residual_l1": "mms",
-    "ap_cascade": "mms",
 }
 
 __all__ = sorted(_EXPORTS)

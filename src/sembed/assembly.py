@@ -10,7 +10,6 @@ formulation explicitly pairs with v(x).
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +44,7 @@ class DirichletBC:
 
 @dataclass(frozen=True)
 class NeumannBC:
-    data: object
+    data: object  # callable(x, n)->values, (n_rec, nq) array, or scalar
     form: str = "standard"
     where: object = None
 
@@ -57,7 +56,7 @@ class NeumannBC:
 @dataclass(frozen=True)
 class RobinBC:
     u_data: object
-    q_data: object
+    q_data: object  # as NeumannBC.data
     eps: object  # positive scalar or callable(x)
     form: str = "nitsche_full_condition"
     where: object = None
@@ -141,22 +140,11 @@ def _eval_field(data, rec, sel):
     return data[sel] if data.ndim else np.full(rec.w.shape, float(data))
 
 
-def _takes_normal(data) -> bool:
-    """Whether flux data is a callable that accepts (x, n), judged once from
-    its signature; a callable without one is called as q(x)."""
-    if not callable(data):
-        return False
-    try:
-        inspect.signature(data).bind(None, None)
-    except (TypeError, ValueError):
-        return False
-    return True
-
-
 def _eval_flux(data, rec, sel):
-    """Flux data q = grad(u) . n; callables may take (x, n) so the conformal
-    path gets the surrogate normal and the shifted path the true one."""
-    if _takes_normal(data):
+    """Flux data q = grad(u) . n: a callable is called as q(x, n) with the
+    records' normals, so the conformal path gets the surrogate normal and
+    the shifted path the true one; other data as in _eval_field."""
+    if callable(data):
         q = data(rec.x.reshape(-1, 2), rec.n.reshape(-1, 2))
         return np.asarray(q, dtype=float).reshape(rec.w.shape)
     return _eval_field(data, rec, sel)

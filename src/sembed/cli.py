@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .experiments import KINDS, METHODS, ExperimentSpec, artifact_base, run
+from .experiments import FORMS, KINDS, METHODS, ExperimentSpec, artifact_base, run
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -22,7 +22,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--form",
                         help="weak form (nitsche, aubin, or an explicit "
                         "per-condition form name)")
-    parser.add_argument("--bc", choices=("dirichlet", "neumann", "robin"))
+    parser.add_argument("--bc", choices=tuple(FORMS))
     parser.add_argument("--eps", type=float, help="Robin coefficient")
     parser.add_argument("--lc-ladder", type=float, nargs="+", metavar="LC")
     parser.add_argument("--p-ladder", type=int, nargs="+", metavar="P")

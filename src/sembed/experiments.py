@@ -17,6 +17,7 @@ import json
 import logging
 import time
 from dataclasses import dataclass, asdict, replace
+from functools import partial
 
 import numpy as np
 
@@ -28,12 +29,14 @@ from .assembly import (
     DIRICHLET_FORMS,
     NEUMANN_FORMS,
     ROBIN_FORMS,
+    _eval_field,
+    _eval_flux,
     assemble,
 )
 from .embedding import build_surrogate, conformal_surrogate
 from .geometry import Circle, Rectangle, Difference
 from .meshing import generate_structured_disk, generate_structured_square
-from .mms import ManufacturedSolution, l1_error, ap_cascade
+from .mms import ManufacturedSolution, l1_error
 from .refelem import (
     MAX_ORDER,
     build_reference_element,
@@ -54,10 +57,13 @@ METHODS = {
     "sbm-i": ("interpolation", "in_element_equidistant", 0.25),
 }
 
-# CLI-level form names resolve to the assembly form per condition type.
-_DIRICHLET_ALIAS = {"nitsche": "nitsche_nonsym", "aubin": "aubin"}
-_NEUMANN_ALIAS = {"nitsche": "with_symmetric_penalty", "aubin": "standard"}
-_ROBIN_ALIAS = {"nitsche": "nitsche_full_condition", "aubin": "aubin"}
+# bc -> (its assembly forms, the assembly forms the CLI-level names
+# `nitsche` and `aubin` stand for)
+FORMS = {
+    "dirichlet": (DIRICHLET_FORMS, {"nitsche": "nitsche_nonsym", "aubin": "aubin"}),
+    "neumann": (NEUMANN_FORMS, {"nitsche": "with_symmetric_penalty", "aubin": "standard"}),
+    "robin": (ROBIN_FORMS, {"nitsche": "nitsche_full_condition", "aubin": "aubin"}),
+}
 
 FIXTURE_RADIUS = 0.375
 FIXTURE_CENTER = (0.5, 0.5)
@@ -125,7 +131,7 @@ class ExperimentSpec:
             raise ValueError(
                 f"unknown method {self.method!r}; choose from {sorted(METHODS)}"
             )
-        if self.bc not in ("dirichlet", "neumann", "robin"):
+        if self.bc not in FORMS:
             raise ValueError(f"unknown bc {self.bc!r}")
         if not self.lc_ladder or not self.p_ladder:
             raise ValueError("mesh and order ladders must be nonempty")
@@ -134,18 +140,9 @@ class ExperimentSpec:
         self.resolve_form()  # validate eagerly
 
     def resolve_form(self) -> str:
-        alias = {
-            "dirichlet": _DIRICHLET_ALIAS,
-            "neumann": _NEUMANN_ALIAS,
-            "robin": _ROBIN_ALIAS,
-        }[self.bc]
+        full, alias = FORMS[self.bc]
         if self.form in alias:
             return alias[self.form]
-        full = {
-            "dirichlet": DIRICHLET_FORMS,
-            "neumann": NEUMANN_FORMS,
-            "robin": ROBIN_FORMS,
-        }[self.bc]
         if self.form in full:
             return self.form
         raise ValueError(
@@ -192,8 +189,9 @@ def _make_problem(mms, bc, form, eps=1.0, gamma=None, gamma_scaling="avg"):
 def _solve(domain, problem, exact_u=None, compute_cond=False):
     """Assemble and solve `problem` on `domain`. Returns the SolveReport
     and the L1 error against `exact_u` (NaN without one). Every driver
-    solve comes here, and the calls go through this module's names, so a
-    patch of `assemble` or `solve_direct` here sees all of them."""
+    solve but ap_cascade's comes here, and both call through this module's
+    names, so a patch of `assemble` or `solve_direct` here sees all of
+    them."""
     system = assemble(domain, problem)
     report = solve_direct(system, compute_cond=compute_cond)
     if exact_u is None:
@@ -294,7 +292,7 @@ def _aligned_verification(spec):
     lc = spec.lc_ladder[0]
     rows = []
     for order in spec.p_ladder:
-        for bc in ("dirichlet", "neumann", "robin"):
+        for bc in FORMS:
             gaps = aligned_degeneration(lc, order, bc)
             rows += [
                 _row(spec, method=method, form=bc, order=order, lc=lc,
@@ -410,7 +408,7 @@ def robin_delta_study(
     def u_pert(x):
         return mms.u(x) - delta
 
-    def q_pert(x, n=None):
+    def q_pert(x, n):
         return q(x, n) + delta / eps
 
     problems = {
@@ -498,6 +496,67 @@ def _robin_limits(spec):
     return rows, {}
 
 
+def _mapped_values(domain, system, u_vec, table):
+    """u_h's trace (n_rec, nq) at the mapped points, taken from the owning
+    element's polynomial: its values for `table` = the domain's
+    `traces.vmap`, grad(u_h) . n for `traces.gmapn`."""
+    local = u_vec[system.loc2glob[domain.active_row[domain.records.elem]]]
+    return np.einsum("rqk,rk->rq", table, local)
+
+
+def ap_cascade(
+    domain,
+    u_data,
+    q_data,
+    forcing,
+    alpha: float = 0.0,
+    limit: str = "dirichlet",
+    m_max: int = 2,
+    gamma: float | None = None,
+):
+    """Asymptotic expansion modes u_0, u_1, u_2 of the Robin problem.
+
+    Dirichlet limit (eps -> 0): u_0 solves the Dirichlet problem with data
+    u_RD; u_m (m >= 1, zero forcing) with data q_RN - dn(u_0) then -u_1's
+    normal derivative. Neumann limit (1/eps -> 0) is the dual cascade on
+    the Neumann data. The data are read at the records' mapped points as
+    assemble reads them, q_RN with the records' normals. Returns the list
+    of mode vectors and the reference system (for error evaluation).
+    """
+    if m_max > 2:
+        raise ValueError("cascade depth is limited to m_max = 2")
+    if limit == "dirichlet":
+        condition, data = partial(DirichletBC, form="aubin"), u_data
+        other = _eval_flux(q_data, domain.records, slice(None))
+        table = domain.traces.gmapn
+    elif limit == "neumann":
+        condition, data = partial(NeumannBC, form="standard"), q_data
+        other = _eval_field(u_data, domain.records, slice(None))
+        table = domain.traces.vmap
+        alpha = alpha if alpha > 0 else 1.0
+    else:
+        raise ValueError(f"unknown limit {limit!r}")
+
+    modes = []
+    base = None
+    for m in range(m_max + 1):
+        if m > 0:
+            trace = _mapped_values(domain, base, modes[-1], table)
+            data = -trace if m > 1 else other - trace
+        problem = BoundaryProblem(
+            conditions=[condition(data)],
+            forcing=forcing if m == 0 else 0.0,
+            alpha=alpha,
+            gamma=gamma,
+        )
+        system = assemble(domain, problem)
+        report = solve_direct(system, compute_cond=False)
+        modes.append(report.u)
+        if base is None:
+            base = system
+    return modes, base
+
+
 def ap_cascade_slopes(method="sbm-i", lc=0.0625, order=6,
                       eps_values=AP_CASCADE_EPS, wavenumber=1, gamma=None):
     """Fitted slopes of ||u_eps - sum_{k<=m} eps^k u_k||_L1 vs eps.
@@ -512,7 +571,7 @@ def ap_cascade_slopes(method="sbm-i", lc=0.0625, order=6,
     mms = ManufacturedSolution(wavenumber=wavenumber)
     q_mms = mms.normal_derivative(FIXTURE_CIRCLE)
 
-    def q(x, n=None):
+    def q(x, n):
         # spatially varying data mismatch; a constant would make u_1
         # constant and kill the higher correction modes
         x = np.asarray(x, dtype=float)
@@ -530,10 +589,10 @@ def ap_cascade_slopes(method="sbm-i", lc=0.0625, order=6,
             forcing=mms.forcing(0.0), gamma=gamma,
         )
         u_eps = _solve(domain, problem)[0].u
-        partial = np.zeros_like(u_eps)
+        expansion = np.zeros_like(u_eps)
         for m, mode in enumerate(modes):
-            partial = partial + (eps ** m) * mode
-            diff = u_eps - partial
+            expansion = expansion + (eps ** m) * mode
+            diff = u_eps - expansion
             # L1 of the gap field via the cascade's reference system layout
             residuals[i, m] = l1_error(domain, base, diff, lambda x: 0.0 * x[..., 0])
     log_eps = np.log(np.asarray(eps_values))
@@ -566,12 +625,11 @@ def _ap_cascade(spec):
 
 
 def square_with_hole_fixture(method, lc, order):
-    """PLATE_WITH_HOLE embedded in the square background mesh. Returns the
-    surrogate domain and the geometry."""
+    """PLATE_WITH_HOLE embedded in the square background mesh."""
     if method == "cbm":
         raise ValueError("square-with-hole fixture is embedded only")
     mesh = generate_structured_square(lc, SQUARE_SIDE, SQUARE_SIDE)
-    return _surrogate(method, mesh, PLATE_WITH_HOLE, order), PLATE_WITH_HOLE
+    return _surrogate(method, mesh, PLATE_WITH_HOLE, order)
 
 
 def mixed_dirichlet_neumann(
@@ -597,8 +655,8 @@ def mixed_dirichlet_neumann(
         conditions=[inner, outer], forcing=mms.forcing(alpha), alpha=alpha
     )
     return {
-        order: _solve(square_with_hole_fixture(method, lc, order)[0],
-                      problem, mms.u)[1]
+        order: _solve(square_with_hole_fixture(method, lc, order), problem,
+                      mms.u)[1]
         for order in orders
     }
 

@@ -1,4 +1,4 @@
-"""Manufactured solutions, error measures, and the asymptotic cascade.
+"""Manufactured solutions and error measures.
 
 The manufactured field is u = cos(k pi x) sin(k pi y) + 2x - y
 with k = 5 by default (k = 1 kept as a preset). It is globally smooth, so
@@ -9,15 +9,10 @@ domain.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from .assembly import (
-    BoundaryProblem, DirichletBC, NeumannBC, _eval_field, assemble,
-)
 from .refelem import build_reference_element
-from .solve import solve_direct
 
 
 @dataclass(frozen=True)
@@ -85,62 +80,3 @@ def l1_error(domain, system, u_vec, exact_u) -> float:
 def residual_l1(system, u_vec) -> float:
     """The truncation-error measure: sum_i |(A u - b)_i|."""
     return float(np.abs(system.matrix @ u_vec - system.rhs).sum())
-
-
-def _mapped_values(domain, system, u_vec, table):
-    """u_h's trace (n_rec, nq) at the mapped points, taken from the owning
-    element's polynomial: its values for `table` = the domain's
-    `traces.vmap`, grad(u_h) . n for `traces.gmapn`."""
-    local = u_vec[system.loc2glob[domain.active_row[domain.records.elem]]]
-    return np.einsum("rqk,rk->rq", table, local)
-
-
-def ap_cascade(
-    domain,
-    u_data,
-    q_data,
-    forcing,
-    alpha: float = 0.0,
-    limit: str = "dirichlet",
-    m_max: int = 2,
-    gamma: float | None = None,
-):
-    """Asymptotic expansion modes u_0, u_1, u_2 of the Robin problem.
-
-    Dirichlet limit (eps -> 0): u_0 solves the Dirichlet problem with data
-    u_RD; u_m (m >= 1, zero forcing) with data q_RN - dn(u_0) then -u_1's
-    normal derivative. Neumann limit (1/eps -> 0) is the dual cascade on
-    the Neumann data. Returns the list of mode vectors and the reference
-    system (for error evaluation).
-    """
-    if m_max > 2:
-        raise ValueError("cascade depth is limited to m_max = 2")
-    if limit == "dirichlet":
-        condition, data, other = partial(DirichletBC, form="aubin"), u_data, q_data
-        table = domain.traces.gmapn
-    elif limit == "neumann":
-        condition, data, other = partial(NeumannBC, form="standard"), q_data, u_data
-        table = domain.traces.vmap
-        alpha = alpha if alpha > 0 else 1.0
-    else:
-        raise ValueError(f"unknown limit {limit!r}")
-
-    modes = []
-    base = None
-    for m in range(m_max + 1):
-        if m > 0:
-            trace = _mapped_values(domain, base, modes[-1], table)
-            data = -trace if m > 1 else (
-                _eval_field(other, domain.records, slice(None)) - trace)
-        problem = BoundaryProblem(
-            conditions=[condition(data)],
-            forcing=forcing if m == 0 else 0.0,
-            alpha=alpha,
-            gamma=gamma,
-        )
-        system = assemble(domain, problem)
-        report = solve_direct(system, compute_cond=False)
-        modes.append(report.u)
-        if base is None:
-            base = system
-    return modes, base

@@ -17,11 +17,10 @@ from scipy.special import gammaln, roots_jacobi
 MAX_ORDER = 10
 
 # Blending exponents minimizing the interpolation Lebesgue constant for the
-# warped node sets, indexed by P-1.
+# warped node sets, indexed by P-1 up to MAX_ORDER.
 _ALPHA_OPT = [
     0.0000, 0.0000, 1.4152, 0.1001, 0.2751,
     0.9800, 1.0999, 1.2832, 1.3648, 1.4773,
-    1.4959, 1.5743, 1.5770, 1.6223, 1.6258,
 ]
 
 
@@ -234,7 +233,7 @@ def lattice_weights(order: int) -> np.ndarray:
 
 def warp_blend_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Warp-and-blend nodal set on the reference triangle, (r, s) arrays."""
-    alpha = _ALPHA_OPT[order - 1] if order <= len(_ALPHA_OPT) else 5.0 / 3.0
+    alpha = _ALPHA_OPT[order - 1]
 
     weights = lattice_weights(order)
     l1 = weights[:, 2] / order

@@ -4,7 +4,7 @@ matrices and right-hand sides must agree bit for bit."""
 import numpy as np
 import pytest
 
-from sembed import experiments, mms as mms_mod
+from sembed import experiments
 from sembed.assembly import (
     DIRICHLET_FORMS,
     EXTRAPOLATION_GUARD,
@@ -18,7 +18,6 @@ from sembed.assembly import (
     RobinBC,
     _match_condition,
     _scatter,
-    _takes_normal,
     assemble,
     build_dof_map,
 )
@@ -39,8 +38,8 @@ def _eval_field(data, i, points):
     return data[i] if data.ndim else np.full(points.shape[0], float(data))
 
 
-def _eval_flux(data, i, rec, takes_normal):
-    if takes_normal:
+def _eval_flux(data, i, rec):
+    if callable(data):
         return np.asarray(data(rec.x, rec.n), dtype=float)
     return _eval_field(data, i, rec.x)
 
@@ -72,11 +71,6 @@ def per_record_assemble(domain, problem):
     rhs = np.bincount(loc2glob.ravel(), weights=local.ravel(), minlength=n_dof)
 
     gamma_global = problem.gamma if problem.gamma is not None else domain.h_avg / 2.0
-    takes_normal = {
-        id(c): _takes_normal(c.data if isinstance(c, NeumannBC) else c.q_data)
-        for c in problem.conditions
-        if isinstance(c, (NeumannBC, RobinBC))
-    }
     traces = domain.traces
 
     for i, rec in enumerate(domain.records):
@@ -113,7 +107,7 @@ def per_record_assemble(domain, problem):
                 bvec += vbar.T @ (w * ud) / gamma
 
         elif isinstance(cond, NeumannBC):
-            qn = _eval_flux(cond.data, i, rec, takes_normal[id(cond)])
+            qn = _eval_flux(cond.data, i, rec)
             nn = (rec.nbar * rec.n).sum(axis=1)
             block -= (vbar * w[:, None]).T @ gbarn
             block += (vbar * (w * nn)[:, None]).T @ gmapn
@@ -124,7 +118,7 @@ def per_record_assemble(domain, problem):
 
         else:
             ud = _eval_field(cond.u_data, i, rec.x)
-            qn = _eval_flux(cond.q_data, i, rec, takes_normal[id(cond)])
+            qn = _eval_flux(cond.q_data, i, rec)
             eps = _eval_field(cond.eps, i, rec.x)
             nn = (rec.nbar * rec.n).sum(axis=1)
 
@@ -185,7 +179,6 @@ def checked(monkeypatch):
         return got
 
     monkeypatch.setattr(experiments, "assemble", assemble_and_check)
-    monkeypatch.setattr(mms_mod, "assemble", assemble_and_check)
     return systems
 
 

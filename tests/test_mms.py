@@ -3,16 +3,13 @@
 import numpy as np
 import pytest
 
+from sembed import ap_cascade
 from sembed.assembly import BoundaryProblem, DirichletBC, RobinBC, assemble
 from sembed.embedding import conformal_surrogate
 from sembed.geometry import Circle
 from sembed.meshing import generate_structured_disk
-from sembed.mms import (
-    ManufacturedSolution,
-    ap_cascade,
-    l1_error,
-    residual_l1,
-)
+from sembed.experiments import ap_cascade_slopes
+from sembed.mms import ManufacturedSolution, l1_error, residual_l1
 from sembed.solve import solve_direct
 
 CENTER = (0.5, 0.5)
@@ -134,3 +131,13 @@ def test_ap_cascade_zeroth_mode_is_limit_solution():
     # and u_0 approximates the exact solution
     err = np.abs(modes[0] - mms.u(base.dof_coords)).max()
     assert err < 1e-2 * max(scale, 1.0)
+
+
+def test_cbm_cascade_expands_the_discrete_robin_solution():
+    # the Robin solves read q_RN with the records' normals, which on cbm
+    # are the surrogate edges'; a cascade that read it with the circle's
+    # normal stalled at slopes 0.99 / 1.47 / 0.93 here
+    slopes, _ = ap_cascade_slopes("cbm", lc=0.0625, order=6)
+    assert slopes[0] >= 0.9
+    assert slopes[1] >= 1.8
+    assert slopes[2] >= 2.7

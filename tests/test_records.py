@@ -258,7 +258,7 @@ def test_disk_records_match_per_edge_builder(method, lc, order):
 @pytest.mark.parametrize("order", [1, 2, 5])
 @pytest.mark.parametrize("method", ["sbm-e", "sbm-ei", "sbm-i"])
 def test_square_with_hole_records_match_per_edge_builder(method, order):
-    domain, geometry = square_with_hole_fixture(method, 0.2, order)
+    domain = square_with_hole_fixture(method, 0.2, order)
     assert_records_match(domain.records, oracle_records(domain))
 
 

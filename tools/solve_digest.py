@@ -1,10 +1,13 @@
-"""Digest of every solve in the benchmark's workload passes.
+"""Digest of every solve in the benchmark's workload passes and in the
+Robin studies.
 
 Runs one pass of each workload in ``perfbench/bench.py`` (``random_embedding``
-at seeds 0-9) with ``solve_direct`` and ``l1_error`` wrapped, and prints one
-line per cell: the sha256 of the solution ``u``, then ``cond``,
-``residual_inf`` and the L1 error by ``repr``. Two trees whose digests differ
-in any byte do not solve bitwise alike.
+at seeds 0-9), then the Robin delta study at sbm-i, lc 0.1, P 1-8 and the
+asymptotic cascade of acceptance criterion 09, with ``solve_direct`` and
+``l1_error`` wrapped. It prints one line per solve: the sha256 of the
+solution ``u``, then ``cond``, ``residual_inf`` and the L1 errors taken
+after it (``-`` for none, comma-separated for several) by ``repr``. Two
+trees whose digests differ in any byte do not solve bitwise alike.
 
     python tools/solve_digest.py [ROOT]
 
@@ -19,6 +22,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
+from functools import partial
 from pathlib import Path
 
 SEEDS = range(10)
@@ -40,27 +44,35 @@ def main(argv=None):
     def solve_and_record(*args, **kwargs):
         report = solve_direct(*args, **kwargs)
         digest = hashlib.sha256(report.u.tobytes()).hexdigest()
-        cells.append([digest, repr(report.cond), repr(report.residual_inf), "-"])
+        cells.append([digest, repr(report.cond), repr(report.residual_inf), []])
         return report
 
     def l1_and_record(*args, **kwargs):
         err = l1_error(*args, **kwargs)
-        cells[-1][3] = repr(err)
+        cells[-1][3].append(repr(err))
         return err
 
+    # a tree whose cascade solves in mms has solve_direct there too
     for module in (solve, mms, experiments):
         if hasattr(module, "solve_direct"):
             module.solve_direct = solve_and_record
         if hasattr(module, "l1_error"):
             module.l1_error = l1_and_record
 
-    for name, (run_pass, _, takes_seed) in bench.WORKLOADS.items():
-        for seed in SEEDS if takes_seed else (None,):
-            cells.clear()
-            run_pass(seed)
-            label = name if seed is None else f"{name}/seed={seed}"
-            for i, cell in enumerate(cells):
-                print(label, i, *cell)
+    runs = {
+        name if seed is None else f"{name}/seed={seed}": partial(run_pass, seed)
+        for name, (run_pass, _, takes_seed) in bench.WORKLOADS.items()
+        for seed in (SEEDS if takes_seed else (None,))
+    }
+    runs["robin_delta_study"] = partial(
+        experiments.robin_delta_study, "sbm-i", lc_ladder=(0.1,),
+        orders=range(1, 9))
+    runs["ap_cascade_slopes"] = experiments.ap_cascade_slopes
+    for label, run in runs.items():
+        cells.clear()
+        run()
+        for i, (*cell, errors) in enumerate(cells):
+            print(label, i, *cell, ",".join(errors) or "-")
 
 
 if __name__ == "__main__":
