@@ -33,12 +33,10 @@ _EXPORTS = {
     "condition_number": "solve",
     "SolveReport": "solve",
     "ExperimentSpec": "experiments",
-    "run_experiment": "experiments",
     "random_embedding_assessment": "experiments",
     "ap_cascade": "experiments",
     "ManufacturedSolution": "mms",
     "l1_error": "mms",
-    "residual_l1": "mms",
 }
 
 __all__ = sorted(_EXPORTS)

@@ -10,6 +10,7 @@ formulation explicitly pairs with v(x).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +36,7 @@ MIN_NORMAL_ALIGNMENT = 0.05
 class DirichletBC:
     data: object  # callable(x)->values, (n_rec, nq) array, or scalar
     form: str = "nitsche_nonsym"
-    where: object = None  # None, segment id, or predicate on midpoints
+    where: int | None = None  # boundary segment id; None matches every record
 
     def __post_init__(self):
         if self.form not in DIRICHLET_FORMS:
@@ -46,7 +47,7 @@ class DirichletBC:
 class NeumannBC:
     data: object  # callable(x, n)->values, (n_rec, nq) array, or scalar
     form: str = "standard"
-    where: object = None
+    where: int | None = None
 
     def __post_init__(self):
         if self.form not in NEUMANN_FORMS:
@@ -57,13 +58,15 @@ class NeumannBC:
 class RobinBC:
     u_data: object
     q_data: object  # as NeumannBC.data
-    eps: object  # positive scalar or callable(x)
+    eps: float  # positive number
     form: str = "nitsche_full_condition"
-    where: object = None
+    where: int | None = None
 
     def __post_init__(self):
         if self.form not in ROBIN_FORMS:
             raise ValueError(f"unknown Robin form {self.form!r}")
+        if not (isinstance(self.eps, numbers.Real) and self.eps > 0):
+            raise ValueError(f"Robin eps must be a positive number, got {self.eps!r}")
 
 
 @dataclass(frozen=True)
@@ -73,7 +76,6 @@ class BoundaryProblem:
     alpha: float = 0.0
     gamma: float | None = None  # default resolves to h_avg / 2
     gamma_scaling: str = "avg"  # 'avg' or 'local'
-    pin: tuple | None = None  # ((x, y), value) single-point Dirichlet pin
 
     def __post_init__(self):
         object.__setattr__(self, "conditions", tuple(self.conditions))
@@ -83,13 +85,14 @@ class BoundaryProblem:
             raise ValueError("alpha must be nonnegative")
         if self.gamma_scaling not in ("avg", "local"):
             raise ValueError("gamma_scaling must be 'avg' or 'local'")
+        for c in self.conditions:
+            if c.where is not None and not isinstance(c.where, (int, np.integer)):
+                raise ValueError(f"where must be None or a segment id, got {c.where!r}")
         essential = any(
             isinstance(c, (DirichletBC, RobinBC)) for c in self.conditions
         )
-        if not essential and self.alpha == 0.0 and self.pin is None:
-            raise ValueError(
-                "pure Neumann problem needs alpha > 0 or a pinned point"
-            )
+        if not essential and self.alpha == 0.0:
+            raise ValueError("pure Neumann problem needs alpha > 0")
 
 
 @dataclass
@@ -100,7 +103,7 @@ class AssembledSystem:
     loc2glob: np.ndarray  # (n_active, n_ep) global DOF per element-local node
     gamma: float
     # (n_active, n_p, n_p) summed volume and boundary block of each active
-    # element, kept at P >= 3 without a pin for the condensed solve; else None
+    # element, kept at P >= 3 for the condensed solve; else None
     elem_matrices: np.ndarray | None = None
 
 
@@ -256,9 +259,6 @@ def _condition_terms(cond, rec, sel, traces, gamma):
 
     ud = _eval_field(cond.u_data, rec, sel)
     qn = _eval_flux(cond.q_data, rec, sel)
-    eps = _eval_field(cond.eps, rec, sel)
-    if np.any(eps <= 0):
-        raise ValueError("Robin eps must be positive on the boundary")
     test = vmap / g
     if cond.form != "aubin":
         test = test - gbarn
@@ -270,8 +270,8 @@ def _condition_terms(cond, rec, sel, traces, gamma):
                 f"{MIN_NORMAL_ALIGNMENT}; use nitsche_full_condition"
             )
         gq = nn * gq
-    c1 = gq / (gq + eps)
-    c2 = gq * eps / (gq + eps)
+    c1 = gq / (gq + cond.eps)
+    c2 = gq * cond.eps / (gq + cond.eps)
     if cond.form == "inconsistent":
         c2 = c2 * nn
     qdat = c2 * qn
@@ -282,16 +282,9 @@ def _condition_terms(cond, rec, sel, traces, gamma):
 
 
 def _match_condition(problem, rec):
-    mid = rec.x.mean(axis=0)
     seg = int(rec.segment[rec.segment.size // 2])
     for cond in problem.conditions:
-        w = cond.where
-        if w is None:
-            return cond
-        if isinstance(w, (int, np.integer)):
-            if seg == w:
-                return cond
-        elif callable(w) and w(mid):
+        if cond.where is None or cond.where == seg:
             return cond
     return None
 
@@ -376,18 +369,10 @@ def assemble(
 
     matrix = _scatter(n_dof, [(loc2glob, volume), (gdofs, blocks)])
     elem_matrices = None
-    if domain.order >= 3 and problem.pin is None:
+    if domain.order >= 3:
         # the matrix is built, so `volume` can take the boundary blocks
         np.add.at(volume, rows, blocks)
         elem_matrices = volume
-    if problem.pin is not None:
-        (px, py), value = problem.pin
-        k = int(np.argmin(np.linalg.norm(dof_coords - (px, py), axis=1)))
-        matrix = matrix.tolil()
-        matrix.rows[k] = [k]
-        matrix.data[k] = [1.0]
-        matrix = matrix.tocsr()
-        rhs[k] = value
 
     return AssembledSystem(
         matrix=matrix,

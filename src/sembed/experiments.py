@@ -723,9 +723,6 @@ def run(spec: ExperimentSpec):
     return rows, rates
 
 
-run_experiment = run  # package-level alias
-
-
 def artifact_base(out):
     """The path every artifact file of `out` starts with: `out` without a
     trailing .csv."""

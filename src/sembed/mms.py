@@ -75,8 +75,3 @@ def l1_error(domain, system, u_vec, exact_u) -> float:
     ue = np.asarray(exact_u(xq.reshape(-1, 2)), dtype=float)
     err = np.abs(uh.ravel() - ue).reshape(uh.shape) @ elem.cub_w
     return float(np.abs(domain.mesh.jacobian[domain.active]) @ err)
-
-
-def residual_l1(system, u_vec) -> float:
-    """The truncation-error measure: sum_i |(A u - b)_i|."""
-    return float(np.abs(system.matrix @ u_vec - system.rhs).sum())

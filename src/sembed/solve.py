@@ -195,12 +195,12 @@ def _ill_conditioned(residual, scale) -> bool:
 def solve_direct(system, compute_cond: bool = True) -> SolveReport:
     """Direct solve of an AssembledSystem (or anything with .matrix/.rhs).
 
-    A system without element matrices (P <= 2, or a pin) factors its full
-    matrix in symmetric mode (`SYMMETRIC_SPLU`). Without a condition number,
-    a system that carries element matrices (P >= 3, no pin) is solved by
-    static condensation: the element-interior nodes are eliminated element
-    by element, and only the Schur complement on the element-boundary DOFs
-    is factorized, in the same mode. Either factor is refined against the
+    A system without element matrices (P <= 2) factors its full matrix in
+    symmetric mode (`SYMMETRIC_SPLU`). Without a condition number, a system
+    that carries element matrices (P >= 3) is solved by static condensation:
+    the element-interior nodes are eliminated element by element, and only
+    the Schur complement on the element-boundary DOFs is factorized, in the
+    same mode. Either factor is refined against the
     full matrix (`_refine`), which brings the error back to that of a plain
     LU. A system with element matrices that asks for a condition number
     takes `splu` of the full matrix with its default COLAMD ordering. The

@@ -97,11 +97,10 @@ def lowp_cond():
         kind="conditioning", method="sbm-i", p_ladder=(2,), lc_ladder=(0.05, 0.025)))
 
 
-def pinned_neumann():
-    center = (0.5, 0.5)
+def reaction_neumann():
     problem = BoundaryProblem(
         conditions=[NeumannBC(MMS.normal_derivative(experiments.FIXTURE_CIRCLE))],
-        forcing=MMS.forcing(0.0), pin=(center, MMS.u(np.array([center]))[0]))
+        forcing=MMS.forcing(1.0), alpha=1.0)
     assemble(experiments.disk_fixture("cbm", 0.1, 3), problem)
 
 
@@ -114,10 +113,10 @@ def plate_mixed():
     (highp_a_and_s, 6),
     (random_embedding, 30),
     (lowp_cond, 2),
-    (pinned_neumann, 1),
+    (reaction_neumann, 1),
     (plate_mixed, 3),
 ], ids=["disk_highp-a-and-s", "random_embedding-seed0", "disk_lowp_cond-p2",
-        "pinned-neumann", "plate-mixed"])
+        "reaction-neumann", "plate-mixed"])
 def test_scatter_matches_the_concatenating_accumulator(run, count):
     built = recorded(run)
     assert len(built) == count

@@ -98,19 +98,29 @@ def test_unknown_forms_rejected():
         RobinBC(lambda x: x[..., 0], lambda x: x[..., 0], eps=1.0, form="weird")
 
 
+@pytest.mark.parametrize("eps", [0.0, -1.0, lambda x: 1.0 + 0.0 * x[..., 0]])
+def test_robin_eps_must_be_a_positive_number(eps):
+    with pytest.raises(ValueError, match="eps"):
+        RobinBC(lambda x: x[..., 0], lambda x, n: 0.0 * x[..., 0], eps=eps)
+
+
+def test_where_must_be_a_segment_id():
+    with pytest.raises(ValueError, match="where"):
+        BoundaryProblem(conditions=[DirichletBC(lambda x: x[..., 0], where=lambda mid: True)])
+
+
 def test_pure_neumann_needs_anchor():
     with pytest.raises(ValueError):
         BoundaryProblem(conditions=[NeumannBC(lambda x: 0.0 * x[..., 0])])
-    # alpha or a pin makes it well posed
+    # a reaction term makes it well posed
     BoundaryProblem(conditions=[NeumannBC(lambda x: 0.0 * x[..., 0])], alpha=1.0)
-    BoundaryProblem(conditions=[NeumannBC(lambda x: 0.0 * x[..., 0])],
-                    pin=((0.5, 0.5), 0.0))
 
 
 def test_untagged_boundary_edge_errors():
     domain = conformal_domain()
     problem = BoundaryProblem(
-        conditions=[DirichletBC(lambda x: x[..., 0], where=lambda mid: False)],
+        # no record lies on segment 7
+        conditions=[DirichletBC(lambda x: x[..., 0], where=7)],
         forcing=0.0,
     )
     with pytest.raises(ValueError, match="edge"):
@@ -138,14 +148,11 @@ def test_linear_exactness_conformal_dirichlet():
 
 
 def test_linear_exactness_conformal_neumann():
-    # u = x with q_N = n_x and a pin to fix the constant
+    # u = x with q_N = n_x; the reaction term alpha u = f fixes the constant
     domain = conformal_domain(order=1, lc=0.2)
     exact = lambda x: x[..., 0]
-    q = lambda x, n=None: n[..., 0] if n is not None else 0.0 * x[..., 0]
-    problem = BoundaryProblem(
-        conditions=[NeumannBC(q)], forcing=0.0,
-        pin=((0.5, 0.5), 0.5),
-    )
+    q = lambda x, n: n[..., 0]
+    problem = BoundaryProblem(conditions=[NeumannBC(q)], forcing=exact, alpha=1.0)
     system = assemble(domain, problem)
     report = solve_direct(system, compute_cond=False)
     assert np.abs(report.u - exact(system.dof_coords)).max() < 1e-9

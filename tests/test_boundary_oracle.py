@@ -149,7 +149,6 @@ def per_record_assemble(domain, problem):
         batches.append((gdofs[None], block[None]))
         rhs[gdofs] += bvec
 
-    assert problem.pin is None
     return AssembledSystem(
         matrix=_scatter(n_dof, batches), rhs=rhs, dof_coords=dof_coords,
         loc2glob=loc2glob, gamma=gamma_global,

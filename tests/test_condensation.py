@@ -60,20 +60,12 @@ def test_element_matrices_scatter_to_the_system_matrix(method, order):
     assert difference <= 1e-13 * abs(system.matrix).max()
 
 
-def test_low_order_and_pinned_systems_take_the_plain_path():
+def test_low_order_systems_take_the_plain_path():
     # without element matrices the full matrix is factored in symmetric mode
     # and refined; plain LU stays the oracle
-    center = (0.5, 0.5)
-    pinned = BoundaryProblem(
-        conditions=[NeumannBC(MMS.normal_derivative(experiments.FIXTURE_CIRCLE))],
-        forcing=MMS.forcing(0.0), pin=(center, MMS.u(np.array([center]))[0]))
-    cases = [
-        (experiments.disk_fixture("sbm-i", 0.1, 2), DIRICHLET),
-        (experiments.disk_fixture("cbm", 0.1, 1), DIRICHLET),
-        (experiments.disk_fixture("cbm", 0.1, 3), pinned),
-    ]
-    for domain, problem in cases:
-        system = assemble(domain, problem)
+    for domain in (experiments.disk_fixture("sbm-i", 0.1, 2),
+                   experiments.disk_fixture("cbm", 0.1, 1)):
+        system = assemble(domain, DIRICHLET)
         assert system.elem_matrices is None
         report = solve_direct(system, compute_cond=False)
         assert report.factorization == "splu-symmetric"

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from sembed import ap_cascade
-from sembed.assembly import BoundaryProblem, DirichletBC, RobinBC, assemble
+from sembed.assembly import BoundaryProblem, DirichletBC, assemble
 from sembed.embedding import conformal_surrogate
 from sembed.geometry import Circle
 from sembed.meshing import generate_structured_disk
 from sembed.experiments import ap_cascade_slopes
-from sembed.mms import ManufacturedSolution, l1_error, residual_l1
-from sembed.solve import solve_direct
+from sembed.mms import ManufacturedSolution, l1_error
 
 CENTER = (0.5, 0.5)
 RADIUS = 0.375
@@ -101,12 +100,6 @@ def test_l1_error_scales_with_area():
     off = l1_error(domain, system, u_i + 1.0, mms.u)
     # polygonal facets undercut the circle, so only a loose match
     assert off == pytest.approx(np.pi * RADIUS**2, rel=5e-2)
-
-
-def test_residual_l1_zero_for_solution():
-    domain, system, mms = _system()
-    u = solve_direct(system, compute_cond=False).u
-    assert residual_l1(system, u) < 1e-9
 
 
 def test_ap_cascade_validates_args():

@@ -2,8 +2,10 @@
 Robin studies.
 
 Runs one pass of each workload in ``perfbench/bench.py`` (``random_embedding``
-at seeds 0-9), then the Robin delta study at sbm-i, lc 0.1, P 1-8 and the
-asymptotic cascade of acceptance criterion 09, with ``solve_direct`` and
+at seeds 0-9), then the Robin delta study at sbm-i, lc 0.1, P 1-8, the
+asymptotic cascade of acceptance criterion 09 and the plate-with-hole
+Robin solves that pick conditions by segment id (sbm-i, lc 0.2, P 2 and 4,
+as posed and swapped), with ``solve_direct`` and
 ``l1_error`` wrapped. It prints one line per solve: the sha256 of the
 solution ``u``, then ``cond``, ``residual_inf`` and the L1 errors taken
 after it (``-`` for none, comma-separated for several) by ``repr``. Two
@@ -68,6 +70,10 @@ def main(argv=None):
         experiments.robin_delta_study, "sbm-i", lc_ladder=(0.1,),
         orders=range(1, 9))
     runs["ap_cascade_slopes"] = experiments.ap_cascade_slopes
+    for swap in (False, True):
+        runs[f"mixed_dirichlet_neumann/swap={swap}"] = partial(
+            experiments.mixed_dirichlet_neumann, "sbm-i", lc=0.2,
+            orders=(2, 4), swap=swap)
     for label, run in runs.items():
         cells.clear()
         run()
