@@ -2,48 +2,34 @@
 triangular meshes with shifted-boundary treatment of Dirichlet, Neumann,
 and Robin conditions."""
 
-from importlib import import_module
+from .assembly import (
+    AssembledSystem, BoundaryProblem, DirichletBC, NeumannBC, RobinBC, assemble,
+)
+from .embedding import (
+    SurrogateDomain, build_surrogate, classify_elements, conformal_surrogate,
+)
+from .experiments import ExperimentSpec, ap_cascade, random_embedding_assessment
+from .geometry import Circle, Difference, Rectangle
+from .meshing import (
+    TriMesh, generate_structured_disk, generate_structured_square, read_gmsh,
+    write_gmsh,
+)
+from .mms import ManufacturedSolution, l1_error
+from .refelem import (
+    ReferenceElement, build_reference_element, lebesgue_constant,
+    vandermonde_shift_study_1d,
+)
+from .solve import SolveReport, condition_number, solve_direct
 
 __version__ = "1.0.0"
 
-_EXPORTS = {
-    "ReferenceElement": "refelem",
-    "build_reference_element": "refelem",
-    "lebesgue_constant": "refelem",
-    "vandermonde_shift_study_1d": "refelem",
-    "TriMesh": "meshing",
-    "read_gmsh": "meshing",
-    "write_gmsh": "meshing",
-    "generate_structured_square": "meshing",
-    "generate_structured_disk": "meshing",
-    "Circle": "geometry",
-    "Rectangle": "geometry",
-    "Difference": "geometry",
-    "classify_elements": "embedding",
-    "build_surrogate": "embedding",
-    "conformal_surrogate": "embedding",
-    "SurrogateDomain": "embedding",
-    "BoundaryProblem": "assembly",
-    "DirichletBC": "assembly",
-    "NeumannBC": "assembly",
-    "RobinBC": "assembly",
-    "AssembledSystem": "assembly",
-    "assemble": "assembly",
-    "solve_direct": "solve",
-    "condition_number": "solve",
-    "SolveReport": "solve",
-    "ExperimentSpec": "experiments",
-    "random_embedding_assessment": "experiments",
-    "ap_cascade": "experiments",
-    "ManufacturedSolution": "mms",
-    "l1_error": "mms",
-}
-
-__all__ = sorted(_EXPORTS)
-
-
-def __getattr__(name):
-    if name in _EXPORTS:
-        module = import_module(f".{_EXPORTS[name]}", __name__)
-        return getattr(module, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__ = [
+    "AssembledSystem", "BoundaryProblem", "Circle", "Difference", "DirichletBC",
+    "ExperimentSpec", "ManufacturedSolution", "NeumannBC", "Rectangle",
+    "ReferenceElement", "RobinBC", "SolveReport", "SurrogateDomain", "TriMesh",
+    "ap_cascade", "assemble", "build_reference_element", "build_surrogate",
+    "classify_elements", "condition_number", "conformal_surrogate",
+    "generate_structured_disk", "generate_structured_square", "l1_error",
+    "lebesgue_constant", "random_embedding_assessment", "read_gmsh",
+    "solve_direct", "vandermonde_shift_study_1d", "write_gmsh",
+]

@@ -281,14 +281,6 @@ def _condition_terms(cond, rec, sel, traces, gamma):
     return block, bvec
 
 
-def _match_condition(problem, rec):
-    seg = int(rec.segment[rec.segment.size // 2])
-    for cond in problem.conditions:
-        if cond.where is None or cond.where == seg:
-            return cond
-    return None
-
-
 def assemble(
     domain: SurrogateDomain, problem: BoundaryProblem
 ) -> AssembledSystem:
@@ -325,12 +317,16 @@ def assemble(
 
     gamma_global = problem.gamma if problem.gamma is not None else domain.h_avg / 2.0
     records = domain.records
-    matched, traces = [], []
-    for rec in records:
-        matched.append(_match_condition(problem, rec))
-        traces.append(_elem_traces(domain, elem, rec))
+    # a record takes the first condition whose `where` is None or the
+    # segment of its middle quadrature point; -1 for none
+    seg = records.segment[:, records.segment.shape[1] // 2]
+    matched = np.full(len(records), -1)
+    for k, cond in enumerate(problem.conditions):
+        free = matched < 0
+        matched[free if cond.where is None else free & (seg == cond.where)] = k
+    tagged = matched >= 0
+    traces = [_elem_traces(domain, elem, rec) for rec in records]
     traces = [np.stack(t) for t in zip(*traces)]
-    tagged = np.array([c is not None for c in matched])
 
     lam = np.abs(barycentric(records.rs_map.reshape(-1, 2)))
     lam = lam.reshape(len(records), -1).max(axis=1)
@@ -351,8 +347,8 @@ def assemble(
 
     blocks = np.zeros((len(records), elem.n_points, elem.n_points))
     bvecs = np.zeros((len(records), elem.n_points, 1))
-    for cond in problem.conditions:
-        sel = np.flatnonzero([c is cond for c in matched])
+    for k, cond in enumerate(problem.conditions):
+        sel = np.flatnonzero(matched == k)
         if sel.size:
             blocks[sel], bvecs[sel] = _condition_terms(
                 cond, records[sel], sel, [t[sel] for t in traces], gamma[sel]

@@ -511,7 +511,6 @@ def ap_cascade(
     forcing,
     alpha: float = 0.0,
     limit: str = "dirichlet",
-    m_max: int = 2,
     gamma: float | None = None,
 ):
     """Asymptotic expansion modes u_0, u_1, u_2 of the Robin problem.
@@ -523,8 +522,6 @@ def ap_cascade(
     assemble reads them, q_RN with the records' normals. Returns the list
     of mode vectors and the reference system (for error evaluation).
     """
-    if m_max > 2:
-        raise ValueError("cascade depth is limited to m_max = 2")
     if limit == "dirichlet":
         condition, data = partial(DirichletBC, form="aubin"), u_data
         other = _eval_flux(q_data, domain.records, slice(None))
@@ -539,7 +536,7 @@ def ap_cascade(
 
     modes = []
     base = None
-    for m in range(m_max + 1):
+    for m in range(3):
         if m > 0:
             trace = _mapped_values(domain, base, modes[-1], table)
             data = -trace if m > 1 else other - trace
@@ -579,7 +576,7 @@ def ap_cascade_slopes(method="sbm-i", lc=0.0625, order=6,
 
     domain = disk_fixture(method, lc, order)
     modes, base = ap_cascade(
-        domain, mms.u, q, mms.forcing(0.0), alpha=0.0, m_max=2, gamma=gamma,
+        domain, mms.u, q, mms.forcing(0.0), alpha=0.0, gamma=gamma,
     )
 
     residuals = np.empty((len(eps_values), 3))

@@ -16,19 +16,34 @@ from sembed.assembly import (
     DirichletBC,
     NeumannBC,
     RobinBC,
-    _match_condition,
     _scatter,
     assemble,
     build_dof_map,
 )
-from sembed.experiments import FIXTURE_CENTER, FIXTURE_RADIUS, disk_fixture
-from sembed.geometry import Circle
+from sembed.experiments import (
+    FIXTURE_CENTER,
+    FIXTURE_RADIUS,
+    PLATE_WITH_HOLE,
+    disk_fixture,
+    square_with_hole_fixture,
+)
+from sembed.geometry import Circle, Difference
 from sembed.mms import ManufacturedSolution
 from sembed.refelem import barycentric, build_reference_element
 
 # ---------------------------------------------------------------------------
 # The per-record assembly: one record at a time, each record's traces read
 # from its rows of the domain's trace table, array data indexed by record.
+
+
+def _condition_of(problem, rec):
+    # the segment id at the record's middle quadrature point picks the
+    # first condition whose `where` is None or that id
+    seg = rec.segment[len(rec.segment) // 2]
+    for cond in problem.conditions:
+        if cond.where is None or cond.where == seg:
+            return cond
+    return None
 
 
 def _eval_field(data, i, points):
@@ -74,7 +89,7 @@ def per_record_assemble(domain, problem):
     traces = domain.traces
 
     for i, rec in enumerate(domain.records):
-        cond = _match_condition(problem, rec)
+        cond = _condition_of(problem, rec)
         assert cond is not None
         assert np.abs(barycentric(rec.rs_map)).max() <= EXTRAPOLATION_GUARD
 
@@ -225,7 +240,7 @@ def test_random_circles_match_per_record_loop(checked):
 
 @pytest.mark.parametrize("swap", [False, True])
 def test_mixed_conditions_match_per_record_loop(checked, swap):
-    # two Robin conditions picked per record by a predicate
+    # two Robin conditions picked per record by segment id
     experiments.mixed_dirichlet_neumann(swap=swap)
     assert len(checked) == 3
 
@@ -240,3 +255,29 @@ def test_cascade_data_arrays_match_per_record_loop(checked):
 def test_degenerate_records_match_per_record_loop(checked, bc):
     experiments.aligned_degeneration(bc=bc)
     assert len(checked) == 4
+
+
+@pytest.mark.parametrize("hole_first", [True, False])
+def test_condition_order_matches_per_record_loop(hole_first):
+    # the hole's condition before a catch-all takes the hole's records;
+    # after it, the catch-all has taken every record already
+    mms = ManufacturedSolution(wavenumber=1)
+    q = mms.normal_derivative(PLATE_WITH_HOLE)
+    hole = RobinBC(mms.u, q, eps=1e10, where=Difference.INNER_OFFSET)
+    catch_all = RobinBC(mms.u, q, eps=1e-10)
+    domain = square_with_hole_fixture("sbm-i", 0.2, 2)
+    mid = domain.records.segment[:, domain.records.segment.shape[1] // 2]
+    assert (mid == Difference.INNER_OFFSET).any()
+    assert (mid != Difference.INNER_OFFSET).any()
+
+    conditions = [hole, catch_all] if hole_first else [catch_all, hole]
+    problem = BoundaryProblem(conditions=conditions, forcing=mms.forcing(0.0))
+    got = assemble(domain, problem)
+    assert_bitwise_equal(got, per_record_assemble(domain, problem))
+
+    only = assemble(domain, BoundaryProblem(conditions=[catch_all],
+                                            forcing=mms.forcing(0.0)))
+    if hole_first:
+        assert got.rhs.tobytes() != only.rhs.tobytes()
+    else:
+        assert_bitwise_equal(got, only)

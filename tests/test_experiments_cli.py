@@ -102,8 +102,8 @@ def test_csv_rows_deterministic(tmp_path):
 
 
 def test_every_public_name_resolves():
-    # the package imports its exports lazily, so a stale entry would fail
-    # only at first use
+    # __all__ is kept by hand beside the imports, so a stale entry would
+    # fail only at first use
     for name in sembed.__all__:
         assert callable(getattr(sembed, name)), name
     with pytest.raises(AttributeError):

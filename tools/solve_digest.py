@@ -2,14 +2,15 @@
 Robin studies.
 
 Runs one pass of each workload in ``perfbench/bench.py`` (``random_embedding``
-at seeds 0-9), then the Robin delta study at sbm-i, lc 0.1, P 1-8, the
-asymptotic cascade of acceptance criterion 09 and the plate-with-hole
-Robin solves that pick conditions by segment id (sbm-i, lc 0.2, P 2 and 4,
-as posed and swapped), with ``solve_direct`` and
-``l1_error`` wrapped. It prints one line per solve: the sha256 of the
-solution ``u``, then ``cond``, ``residual_inf`` and the L1 errors taken
-after it (``-`` for none, comma-separated for several) by ``repr``. Two
-trees whose digests differ in any byte do not solve bitwise alike.
+at every committed seed, 0 to ``bench.REFERENCE_SEEDS`` - 1), then the Robin
+delta study at sbm-i, lc 0.1, P 1-8, the asymptotic cascade of acceptance
+criterion 09 and the plate-with-hole Robin solves that pick conditions by
+segment id (sbm-i, lc 0.2, P 2 and 4, as posed and swapped), with
+``solve_direct`` and ``l1_error`` wrapped. It prints one line per solve: the
+sha256 of the solution ``u``, then ``cond``, ``residual_inf`` and the L1
+errors taken after it (``-`` for none, comma-separated for several) by
+``repr``. Two trees whose digests differ in any byte do not solve bitwise
+alike.
 
     python tools/solve_digest.py [ROOT]
 
@@ -26,8 +27,6 @@ import hashlib
 import sys
 from functools import partial
 from pathlib import Path
-
-SEEDS = range(10)
 
 
 def main(argv=None):
@@ -64,7 +63,7 @@ def main(argv=None):
     runs = {
         name if seed is None else f"{name}/seed={seed}": partial(run_pass, seed)
         for name, (run_pass, _, takes_seed) in bench.WORKLOADS.items()
-        for seed in (SEEDS if takes_seed else (None,))
+        for seed in (range(bench.REFERENCE_SEEDS) if takes_seed else (None,))
     }
     runs["robin_delta_study"] = partial(
         experiments.robin_delta_study, "sbm-i", lc_ladder=(0.1,),
