@@ -11,8 +11,7 @@ from .embedding import (
 from .experiments import ExperimentSpec, ap_cascade, random_embedding_assessment
 from .geometry import Circle, Difference, Rectangle
 from .meshing import (
-    TriMesh, generate_structured_disk, generate_structured_square, read_gmsh,
-    write_gmsh,
+    TriMesh, generate_structured_disk, generate_structured_square,
 )
 from .mms import ManufacturedSolution, l1_error
 from .refelem import (
@@ -30,6 +29,6 @@ __all__ = [
     "ap_cascade", "assemble", "build_reference_element", "build_surrogate",
     "classify_elements", "condition_number", "conformal_surrogate",
     "generate_structured_disk", "generate_structured_square", "l1_error",
-    "lebesgue_constant", "random_embedding_assessment", "read_gmsh",
-    "solve_direct", "vandermonde_shift_study_1d", "write_gmsh",
+    "lebesgue_constant", "random_embedding_assessment", "solve_direct",
+    "vandermonde_shift_study_1d",
 ]

@@ -1,22 +1,15 @@
-"""Affine triangular meshes: Gmsh I/O, built-in generators, connectivity.
+"""Affine triangular meshes: built-in generators, connectivity.
 
-Only the ASCII MSH subset actually needed is supported: v2.2 and v4.1 files
-with 2-node lines and 3-node triangles. The built-in generators exist so the
-test suite needs no external mesher.
+The built-in generators exist so no external mesher is needed; a mesh from
+elsewhere enters as `TriMesh(vertices, elements)`.
 """
 
 from __future__ import annotations
 
-import io
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import Delaunay
-
-
-class MeshParseError(ValueError):
-    """Malformed or unsupported mesh file; message carries the line number."""
 
 
 @dataclass
@@ -43,11 +36,19 @@ class TriMesh:
 
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=float)
-        self.elements = np.asarray(self.elements, dtype=np.int64)
+        elements = np.asarray(self.elements)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise ValueError("vertices must be (N, 2)")
-        if self.elements.ndim != 2 or self.elements.shape[1] != 3:
+        if not np.isfinite(self.vertices).all():
+            raise ValueError("vertices must be finite")
+        if elements.ndim != 2 or elements.shape[1] != 3:
             raise ValueError("elements must be (N, 3)")
+        if not np.issubdtype(elements.dtype, np.integer):
+            raise ValueError("elements must hold integer vertex ids")
+        self.elements = np.asarray(elements, dtype=np.int64)
+        n_v = self.vertices.shape[0]
+        if ((self.elements < 0) | (self.elements >= n_v)).any():
+            raise ValueError(f"vertex ids must lie in [0, {n_v})")
         self._orient_ccw()
         self._build_edges()
         self._build_affine()
@@ -107,10 +108,6 @@ class TriMesh:
         self.h_elem = lengths.max(axis=1)
 
     @property
-    def n_vertices(self) -> int:
-        return self.vertices.shape[0]
-
-    @property
     def n_elements(self) -> int:
         return self.elements.shape[0]
 
@@ -147,197 +144,6 @@ class TriMesh:
         return rs @ b + self.affine_c[elem][..., None, :]
 
 
-def _lines(stream):
-    # undecodable bytes (a binary MSH body) become U+FFFD, so the parser
-    # reports them instead of the decoder
-    if isinstance(stream, os.PathLike):
-        stream = os.fspath(stream)
-    if isinstance(stream, (str, bytes)):
-        with open(stream, encoding="utf-8", errors="replace") as f:
-            return f.read().splitlines()
-    if isinstance(stream, io.IOBase):
-        data = stream.read()
-        if isinstance(data, bytes):
-            data = data.decode("utf-8", errors="replace")
-        return data.splitlines()
-    raise TypeError("expected path or stream")
-
-
-def read_gmsh(path_or_stream) -> TriMesh:
-    """Parse an ASCII MSH v2.2 or v4.1 file; keep triangles and drop lines.
-
-    Any truncated or malformed input raises MeshParseError, naming the line
-    where the fault is known.
-    """
-    lines = _lines(path_or_stream)
-    if not lines or lines[0].strip() != "$MeshFormat":
-        raise MeshParseError("line 1: expected $MeshFormat header")
-    fmt = lines[1].split() if len(lines) > 1 else []
-    if len(fmt) < 3:
-        raise MeshParseError("line 2: malformed format record")
-    version, ftype = fmt[0], fmt[1]
-    if ftype != "0":
-        raise MeshParseError("line 2: binary MSH files are not supported")
-    if version.startswith("2"):
-        return _read_v2(lines)
-    if version.startswith("4"):
-        return _read_v4(lines)
-    raise MeshParseError(f"line 2: unsupported MSH version {version}")
-
-
-def _section(lines, name):
-    try:
-        start = lines.index(f"${name}")
-    except ValueError:
-        raise MeshParseError(f"missing ${name} section") from None
-    try:
-        end = lines.index(f"$End{name}", start)
-    except ValueError:
-        raise MeshParseError(
-            f"line {start + 1}: ${name} section is not closed"
-        ) from None
-    return start, end
-
-
-class _Section:
-    """Reads the records of one $Name ... $EndName section in order; every
-    error names the line of the record being read."""
-
-    def __init__(self, lines, name):
-        self.lines = lines
-        self.name = name
-        self.pos, self.end = _section(lines, name)
-
-    def error(self, message):
-        return MeshParseError(f"line {self.pos + 1}: {message}")
-
-    def record(self, what, n_min=1, n_max=None):
-        """The tokens of the next line, which must be a `what` of
-        n_min..n_max tokens inside the section."""
-        self.pos += 1
-        if self.pos >= self.end:
-            raise self.error(f"${self.name} section ends before the {what}")
-        parts = self.lines[self.pos].split()
-        if len(parts) < n_min or (n_max is not None and len(parts) > n_max):
-            raise self.error(f"malformed {what}")
-        return parts
-
-    def int(self, token, what, minimum=None):
-        try:
-            value = int(token)
-        except ValueError:
-            raise self.error(f"{what} {token!r} is not an integer") from None
-        if minimum is not None and value < minimum:
-            raise self.error(f"{what} {value} is below {minimum}")
-        return value
-
-    def point(self, tokens):
-        try:
-            x, y = float(tokens[0]), float(tokens[1])
-        except ValueError:
-            raise self.error("coordinate is not a number") from None
-        if not (np.isfinite(x) and np.isfinite(y)):
-            raise self.error("coordinate is not finite")
-        return x, y
-
-    def triangle(self, tokens, coords):
-        tri = [self.int(t, "node tag") for t in tokens]
-        for tag in tri:
-            if tag not in coords:
-                raise self.error(f"triangle refers to unknown node {tag}")
-        return tri
-
-
-def _read_v2(lines):
-    nodes = _Section(lines, "Nodes")
-    n_nodes = nodes.int(nodes.record("node count", 1, 1)[0], "node count", 0)
-    coords = {}
-    for _ in range(n_nodes):
-        parts = nodes.record("node record", 4)
-        coords[nodes.int(parts[0], "node tag")] = nodes.point(parts[1:3])
-
-    elems = _Section(lines, "Elements")
-    n_elems = elems.int(elems.record("element count", 1, 1)[0], "element count", 0)
-    tris = []
-    for _ in range(n_elems):
-        parts = elems.record("element record", 3)
-        etype = elems.int(parts[1], "element type")
-        n_tags = elems.int(parts[2], "tag count", 0)
-        conn = parts[3 + n_tags :]
-        if etype == 2:
-            if len(conn) != 3:
-                raise elems.error("triangle needs 3 nodes")
-            tris.append(elems.triangle(conn, coords))
-        elif etype not in (1, 15):  # lines and points are ignored
-            raise elems.error(f"unsupported element type {etype}")
-    return _from_tagged(coords, tris)
-
-
-def _read_v4(lines):
-    nodes = _Section(lines, "Nodes")
-    n_blocks = nodes.int(nodes.record("node section header")[0], "block count", 0)
-    coords = {}
-    for _ in range(n_blocks):
-        blk = nodes.record("node block header", 4, 4)
-        n_in_block = nodes.int(blk[3], "block size", 0)
-        tags = [
-            nodes.int(nodes.record("node tag", 1, 1)[0], "node tag")
-            for _ in range(n_in_block)
-        ]
-        for tag in tags:
-            coords[tag] = nodes.point(nodes.record("node coordinates", 2))
-
-    elems = _Section(lines, "Elements")
-    n_blocks = elems.int(
-        elems.record("element section header")[0], "block count", 0
-    )
-    tris = []
-    for _ in range(n_blocks):
-        blk = elems.record("element block header", 4, 4)
-        etype = elems.int(blk[2], "element type")
-        n_in_block = elems.int(blk[3], "block size", 0)
-        for _ in range(n_in_block):
-            parts = elems.record("element record")
-            if etype == 2:
-                if len(parts) != 4:
-                    raise elems.error("triangle needs 3 nodes")
-                tris.append(elems.triangle(parts[1:], coords))
-            elif etype not in (1, 15):
-                raise elems.error(f"unsupported element type {etype}")
-    return _from_tagged(coords, tris)
-
-
-def _from_tagged(coords, tris):
-    if not tris:
-        raise MeshParseError("no triangles found in file")
-    tags = sorted(coords)
-    index = {t: i for i, t in enumerate(tags)}
-    vertices = np.array([coords[t] for t in tags])
-    elements = np.array([[index[a] for a in tri] for tri in tris])
-    used = np.zeros(len(tags), dtype=bool)
-    used[elements.ravel()] = True
-    remap = -np.ones(len(tags), dtype=np.int64)
-    remap[used] = np.arange(used.sum())
-    try:
-        return TriMesh(vertices[used], remap[elements])
-    except ValueError as exc:
-        raise MeshParseError(f"invalid mesh: {exc}") from None
-
-
-def write_gmsh(mesh: TriMesh, path) -> None:
-    """Serialize as ASCII MSH v2.2 (triangles only)."""
-    with open(path, "w") as f:
-        f.write("$MeshFormat\n2.2 0 8\n$EndMeshFormat\n")
-        f.write(f"$Nodes\n{mesh.n_vertices}\n")
-        for i, (x, y) in enumerate(mesh.vertices, start=1):
-            f.write(f"{i} {float(x)!r} {float(y)!r} 0\n")
-        f.write("$EndNodes\n")
-        f.write(f"$Elements\n{mesh.n_elements}\n")
-        for i, (a, b, c) in enumerate(mesh.elements + 1, start=1):
-            f.write(f"{i} 2 2 0 0 {a} {b} {c}\n")
-        f.write("$EndElements\n")
-
-
 def _delaunay_triangles(points, keep_centroid=None) -> np.ndarray:
     tri = Delaunay(points)
     simplices = tri.simplices
@@ -361,31 +167,25 @@ def _delaunay_triangles(points, keep_centroid=None) -> np.ndarray:
 
 
 def generate_structured_square(
-    lc: float,
-    lx: float = 1.0,
-    ly: float = 1.0,
-    origin: tuple[float, float] = (0.0, 0.0),
+    lc: float, lx: float = 1.0, ly: float = 1.0
 ) -> TriMesh:
-    """Quasi-uniform triangulation of [x0, x0+lx] x [y0, y0+ly].
+    """Quasi-uniform triangulation of [0, lx] x [0, ly].
 
     Vertex rows are offset by half a spacing so the Delaunay triangles come
     out near-equilateral, as a frontal mesher would produce.
     """
     if lc <= 0 or lx <= 0 or ly <= 0:
         raise ValueError("lc and box dimensions must be positive")
-    x0, y0 = origin
     nx = max(1, round(lx / lc))
     ny = max(1, round(ly / (lc * np.sqrt(3.0) / 2.0)))
     dx = lx / nx
-    ys = np.linspace(y0, y0 + ly, ny + 1)
+    ys = np.linspace(0.0, ly, ny + 1)
     pts = []
     for j, y in enumerate(ys):
         if 0 < j < ny and j % 2 == 1:
-            xs = np.concatenate(
-                ([x0], x0 + dx / 2.0 + dx * np.arange(nx), [x0 + lx])
-            )
+            xs = np.concatenate(([0.0], dx / 2.0 + dx * np.arange(nx), [lx]))
         else:
-            xs = np.linspace(x0, x0 + lx, nx + 1)
+            xs = np.linspace(0.0, lx, nx + 1)
         pts.extend((x, y) for x in xs)
     pts = np.array(pts)
     return TriMesh(pts, _delaunay_triangles(pts))

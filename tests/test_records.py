@@ -263,7 +263,7 @@ def test_square_with_hole_records_match_per_edge_builder(method, order):
 
 
 def test_conformal_records_without_geometry_match():
-    mesh = generate_structured_square(0.25, 1.0, 1.0, (0.0, 0.0))
+    mesh = generate_structured_square(0.25, 1.0, 1.0)
     domain = conformal_surrogate(mesh, None, 2)
     assert_records_match(domain.records, oracle_records(domain))
 
@@ -271,7 +271,7 @@ def test_conformal_records_without_geometry_match():
 def test_closest_point_fallback_logs_the_same_warnings(caplog):
     # the disk reaches past the mesh hull, so hull edges of elements the
     # boundary never cuts have no arc to map onto
-    mesh = generate_structured_square(0.1, 1.0, 1.0, (0.0, 0.0))
+    mesh = generate_structured_square(0.1, 1.0, 1.0)
     circle = Circle((0.5, 0.5), 0.6)
     with caplog.at_level(logging.WARNING, logger="sembed.embedding"):
         domain = build_surrogate(
@@ -316,7 +316,7 @@ centres = st.tuples(
     st.floats(min_value=0.35, max_value=0.65),
     st.floats(min_value=0.35, max_value=0.65),
 )
-MESH = generate_structured_square(0.1, 1.0, 1.0, (0.0, 0.0))
+MESH = generate_structured_square(0.1, 1.0, 1.0)
 
 
 def _crossed_twice(circle, elems):
