@@ -87,23 +87,19 @@ def _boundary_traces(domain: SurrogateDomain) -> BoundaryTraces:
     records = domain.records
     n_rec, nq = records.w.shape
     binv = np.repeat(domain.mesh.affine_b_inv[records.elem], nq, axis=0)
-    nbar = np.repeat(records.nbar, nq, axis=0)
-    n = records.n.reshape(-1, 2)
-    rs_bar = records.rs_bar.reshape(-1, 2)
-    rs_map = records.rs_map.reshape(-1, 2)
 
-    def normal_derivative(rs, normal):
-        gr, gs = elem.eval_basis_grad(rs[:, 0], rs[:, 1])
+    def value_and_normal_derivative(rs, normal):
+        v, gr, gs = elem.eval_basis_grad(rs[:, 0], rs[:, 1])
         gx = gr * binv[:, 0, 0:1] + gs * binv[:, 1, 0:1]
         gy = gr * binv[:, 0, 1:2] + gs * binv[:, 1, 1:2]
-        return (gx * normal[:, 0:1] + gy * normal[:, 1:2]).reshape(n_rec, nq, -1)
+        gn = gx * normal[:, 0:1] + gy * normal[:, 1:2]
+        return v.reshape(n_rec, nq, -1), gn.reshape(n_rec, nq, -1)
 
-    return BoundaryTraces(
-        vbar=elem.eval_basis(rs_bar[:, 0], rs_bar[:, 1]).reshape(n_rec, nq, -1),
-        vmap=elem.eval_basis(rs_map[:, 0], rs_map[:, 1]).reshape(n_rec, nq, -1),
-        gbarn=normal_derivative(rs_bar, nbar),
-        gmapn=normal_derivative(rs_map, n),
-    )
+    vbar, gbarn = value_and_normal_derivative(
+        records.rs_bar.reshape(-1, 2), np.repeat(records.nbar, nq, axis=0))
+    vmap, gmapn = value_and_normal_derivative(
+        records.rs_map.reshape(-1, 2), records.n.reshape(-1, 2))
+    return BoundaryTraces(vbar=vbar, vmap=vmap, gbarn=gbarn, gmapn=gmapn)
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from .assembly import (
     _eval_flux,
     assemble,
 )
-from .embedding import build_surrogate, conformal_surrogate
+from .embedding import _edge_records, build_surrogate, conformal_surrogate
 from .geometry import Circle, Rectangle, Difference
 from .meshing import generate_structured_disk, generate_structured_square
 from .mms import ManufacturedSolution, l1_error
@@ -255,9 +255,9 @@ def aligned_degeneration(lc=0.2, order=2, bc="dirichlet"):
     """Max entrywise matrix/rhs gap between each degenerate SBM assembly
     and the conformal assembly on the same boundary-aligned mesh.
 
-    All mapping distances are forced to zero (records replaced by their
-    conformal counterparts), so every variant must reproduce the conformal
-    operator exactly.
+    All mapping distances are forced to zero (each method's records rebuilt
+    on its own edges and owners with the identity mapping), so every variant
+    must reproduce the conformal operator exactly.
     """
     mesh = generate_structured_disk(lc, FIXTURE_RADIUS, FIXTURE_CENTER)
     form = {"dirichlet": "nitsche_nonsym", "neumann": "standard",
@@ -273,11 +273,8 @@ def aligned_degeneration(lc=0.2, order=2, bc="dirichlet"):
             continue
         domain = _surrogate(method, mesh, FIXTURE_CIRCLE, order)
         rec = domain.records
-        degenerate = replace(
-            rec, x=rec.xbar, d=np.zeros_like(rec.d),
-            n=np.broadcast_to(rec.nbar[:, None], rec.n.shape).copy(),
-            rs_map=rec.rs_bar,
-        )
+        degenerate = _edge_records(mesh, FIXTURE_CIRCLE, "identity", rec.edge,
+                                   rec.elem, order)
         domain = replace(domain, records=degenerate)
         system = assemble(domain, problem)
         gap_a = abs(system.matrix - reference.matrix).max() / scale

@@ -35,7 +35,8 @@ class TriMesh:
     h_elem: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.vertices = np.asarray(self.vertices, dtype=float)
+        # copies: the mesh neither writes into nor follows its caller's arrays
+        self.vertices = np.array(self.vertices, dtype=float)
         elements = np.asarray(self.elements)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise ValueError("vertices must be (N, 2)")
@@ -45,7 +46,7 @@ class TriMesh:
             raise ValueError("elements must be (N, 3)")
         if not np.issubdtype(elements.dtype, np.integer):
             raise ValueError("elements must hold integer vertex ids")
-        self.elements = np.asarray(elements, dtype=np.int64)
+        self.elements = np.array(elements, dtype=np.int64)
         n_v = self.vertices.shape[0]
         if ((self.elements < 0) | (self.elements >= n_v)).any():
             raise ValueError(f"vertex ids must lie in [0, {n_v})")

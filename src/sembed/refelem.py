@@ -173,28 +173,23 @@ def modal_basis(order: int, r: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 def modal_basis_grad(order: int, r: np.ndarray, s: np.ndarray):
-    """(d/dr, d/ds) of `modal_basis`, from the same tables plus their
-    derivative tables; equal to `grad_simplex_2d` column by column."""
+    """(values, d/dr, d/ds) of `modal_basis`, from one pass over the same
+    tables plus their derivative tables; the values equal `modal_basis` and
+    the derivatives `grad_simplex_2d` column by column, bit for bit."""
     r = np.atleast_1d(np.asarray(r, dtype=float))
     s = np.atleast_1d(np.asarray(s, dtype=float))
     a, b = _rs_to_ab(r, s)
     pa = jacobi_p_all(a, 0.0, 0.0, order)
     dpa = grad_jacobi_p_all(a, 0.0, 0.0, order)
-    modes_r, modes_s = [], []
+    modes, modes_r, modes_s = [], [], []
     for i in range(order + 1):
-        alpha = 2.0 * i + 1.0
-        dr, ds = _grad_simplex_mode(
-            a,
-            b,
-            i,
-            pa[i],
-            dpa[i],
-            jacobi_p_all(b, alpha, 0.0, order - i),
-            grad_jacobi_p_all(b, alpha, 0.0, order - i),
-        )
+        pb = jacobi_p_all(b, 2.0 * i + 1.0, 0.0, order - i)
+        dpb = grad_jacobi_p_all(b, 2.0 * i + 1.0, 0.0, order - i)
+        dr, ds = _grad_simplex_mode(a, b, i, pa[i], dpa[i], pb, dpb)
+        modes.append(_simplex_mode(b, i, pa[i], pb))
         modes_r.append(dr)
         modes_s.append(ds)
-    return np.concatenate(modes_r).T.copy(), np.concatenate(modes_s).T.copy()
+    return tuple(np.concatenate(m).T.copy() for m in (modes, modes_r, modes_s))
 
 
 def _warp_factor(order: int, rout: np.ndarray) -> np.ndarray:
@@ -311,9 +306,10 @@ class ReferenceElement:
         outside the reference triangle (extrapolation is first-class)."""
         return modal_basis(self.order, r, s) @ self.vandermonde_inv
 
-    def eval_basis_grad(self, r, s) -> tuple[np.ndarray, np.ndarray]:
-        vr, vs = modal_basis_grad(self.order, r, s)
-        return vr @ self.vandermonde_inv, vs @ self.vandermonde_inv
+    def eval_basis_grad(self, r, s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Nodal basis values, d/dr and d/ds at (r, s), from one modal
+        tabulation; the values equal `eval_basis` bit for bit."""
+        return tuple(m @ self.vandermonde_inv for m in modal_basis_grad(self.order, r, s))
 
 
 @lru_cache(maxsize=None)
@@ -323,7 +319,7 @@ def build_reference_element(order: int) -> ReferenceElement:
     r, s = warp_blend_nodes(order)
     v_inv = np.linalg.inv(modal_basis(order, r, s))
     cr, cs, cw = triangle_cubature(2 * order + 1)
-    cub_vr, cub_vs = modal_basis_grad(order, cr, cs)
+    cub_basis, cub_dr, cub_ds = (m @ v_inv for m in modal_basis_grad(order, cr, cs))
     eq, ew = np.polynomial.legendre.leggauss(order + 2)
     elem = ReferenceElement(
         order=order,
@@ -336,9 +332,9 @@ def build_reference_element(order: int) -> ReferenceElement:
         cub_w=cw,
         edge_q=eq,
         edge_w=ew,
-        cub_basis=modal_basis(order, cr, cs) @ v_inv,
-        cub_dr=cub_vr @ v_inv,
-        cub_ds=cub_vs @ v_inv,
+        cub_basis=cub_basis,
+        cub_dr=cub_dr,
+        cub_ds=cub_ds,
     )
     return elem
 

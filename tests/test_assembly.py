@@ -1,5 +1,7 @@
 """Weak forms and system assembly."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -243,11 +245,11 @@ def _per_record_traces(domain, elem, rec):
     binv = domain.mesh.affine_b_inv[rec.elem]
     vbar = elem.eval_basis(rec.rs_bar[:, 0], rec.rs_bar[:, 1])
     vmap = elem.eval_basis(rec.rs_map[:, 0], rec.rs_map[:, 1])
-    gr, gs = elem.eval_basis_grad(rec.rs_bar[:, 0], rec.rs_bar[:, 1])
+    _, gr, gs = elem.eval_basis_grad(rec.rs_bar[:, 0], rec.rs_bar[:, 1])
     gx = gr * binv[0, 0] + gs * binv[1, 0]
     gy = gr * binv[0, 1] + gs * binv[1, 1]
     gbarn = gx * rec.nbar[0] + gy * rec.nbar[1]
-    gr, gs = elem.eval_basis_grad(rec.rs_map[:, 0], rec.rs_map[:, 1])
+    _, gr, gs = elem.eval_basis_grad(rec.rs_map[:, 0], rec.rs_map[:, 1])
     gx = gr * binv[0, 0] + gs * binv[1, 0]
     gy = gr * binv[0, 1] + gs * binv[1, 1]
     gmapn = gx * rec.n[:, 0:1] + gy * rec.n[:, 1:2]
@@ -322,13 +324,13 @@ def test_elem_traces_called_once_per_record(monkeypatch):
 
 def test_traces_evaluated_once_per_domain(monkeypatch):
     calls = []
-    eval_basis = ReferenceElement.eval_basis
+    eval_basis_grad = ReferenceElement.eval_basis_grad
 
     def counting(self, r, s):
         calls.append(np.size(r))
-        return eval_basis(self, r, s)
+        return eval_basis_grad(self, r, s)
 
-    monkeypatch.setattr(ReferenceElement, "eval_basis", counting)
+    monkeypatch.setattr(ReferenceElement, "eval_basis_grad", counting)
     domain = embedded_domain(order=2)
     for form in DIRICHLET_FORMS:
         assemble(domain, BoundaryProblem(
@@ -349,6 +351,48 @@ def test_flux_type_error_propagates_without_retry():
     with pytest.raises(TypeError, match="fault inside"):
         assemble(domain, problem)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("kind", ["scalar", "array"])
+def test_flux_values_assemble_like_a_callable_returning_them(kind):
+    # NeumannBC.data may be a scalar or an (n_rec, nq) array over all
+    # records instead of a callable q(x, n)
+    mms = ManufacturedSolution(wavenumber=1)
+    domain = disk_fixture("sbm-i", 0.2, 2)
+    rec = domain.records
+    if kind == "scalar":
+        data = 0.7
+        values = np.full(rec.w.shape, 0.7)
+    else:
+        q = mms.normal_derivative(Circle(CENTER, RADIUS))
+        data = q(rec.x.reshape(-1, 2), rec.n.reshape(-1, 2)).reshape(rec.w.shape)
+        values = data
+    for form in NEUMANN_FORMS:
+        got, want = (
+            assemble(domain, BoundaryProblem(
+                conditions=[NeumannBC(d, form=form)],
+                forcing=mms.forcing(1.0), alpha=1.0))
+            for d in (data, lambda x, n: values.ravel())
+        )
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got.matrix, name), getattr(want.matrix, name)
+            assert a.tobytes() == b.tobytes(), (form, name)
+        assert got.rhs.tobytes() == want.rhs.tobytes(), form
+
+
+def test_mapped_point_past_the_extrapolation_guard_is_rejected():
+    domain = disk_fixture("sbm-e", 0.2, 2)
+    rec = domain.records
+    i = len(rec) // 2
+    rs_map = rec.rs_map.copy()
+    rs_map[i] += (30.0, 0.0)  # barycentric magnitude about 16
+    far = replace(domain, records=replace(rec, rs_map=rs_map))
+    problem = BoundaryProblem(conditions=[DirichletBC(lambda x: x[..., 0])])
+    assemble(domain, problem)
+    with pytest.raises(ValueError, match=(
+            rf"^edge {rec.edge[i]}: mapped point far outside element "
+            rf"{rec.elem[i]} \(barycentric magnitude")):
+        assemble(far, problem)
 
 
 def test_flux_arity_from_signature():

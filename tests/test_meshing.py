@@ -10,17 +10,28 @@ from sembed.meshing import (
 )
 
 
-def unit_triangle():
-    v = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    return TriMesh(v, np.array([[0, 1, 2]]))
-
-
 def test_orientation_forced_ccw():
     v = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     mesh = TriMesh(v, np.array([[0, 2, 1]]))  # clockwise input
     a, b, c = mesh.vertices[mesh.elements[0]]
     e1, e2 = b - a, c - a
     assert e1[0] * e2[1] - e1[1] * e2[0] > 0
+
+
+def test_mesh_keeps_its_own_copy_of_the_input_arrays():
+    # an int64 clockwise input is flipped in the mesh's copy, not the
+    # caller's array, and a later edit of the caller's vertices does not
+    # reach the mesh (whose affine data were computed from the old ones)
+    v = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    e = np.array([[0, 2, 1]], dtype=np.int64)
+    mesh = TriMesh(v, e)
+    assert e.tolist() == [[0, 2, 1]]
+    assert mesh.elements.tolist() == [[0, 1, 2]]
+    assert not np.shares_memory(mesh.elements, e)
+    assert not np.shares_memory(mesh.vertices, v)
+    v[1, 0] = 5.0
+    assert mesh.vertices[1, 0] == 1.0
+    assert mesh.jacobian[0] == 0.25
 
 
 def test_degenerate_element_rejected():

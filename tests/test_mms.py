@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from sembed import ap_cascade
-from sembed.assembly import BoundaryProblem, DirichletBC, assemble
+from sembed.assembly import BoundaryProblem, DirichletBC, NeumannBC, assemble
 from sembed.embedding import conformal_surrogate
 from sembed.geometry import Circle
 from sembed.meshing import generate_structured_disk
-from sembed.experiments import ap_cascade_slopes
+from sembed.experiments import ap_cascade_slopes, disk_fixture
 from sembed.mms import ManufacturedSolution, l1_error
+from sembed.solve import solve_direct
 
 CENTER = (0.5, 0.5)
 RADIUS = 0.375
@@ -122,6 +123,23 @@ def test_ap_cascade_zeroth_mode_is_limit_solution():
     # and u_0 approximates the exact solution
     err = np.abs(modes[0] - mms.u(base.dof_coords)).max()
     assert err < 1e-2 * max(scale, 1.0)
+
+
+@pytest.mark.parametrize("method", ["cbm", "sbm-i"])
+def test_ap_cascade_neumann_limit_zeroth_mode_is_neumann_solution(method):
+    # the dual cascade poses u_0 as the standard Neumann problem on the
+    # flux data, and u_1, u_2 on the Dirichlet data's residual
+    domain = disk_fixture(method, 0.125, 3)
+    mms = ManufacturedSolution(wavenumber=1)
+    q = mms.normal_derivative(Circle(CENTER, RADIUS))
+    modes, _ = ap_cascade(domain, mms.u, q, mms.forcing(1.0), alpha=1.0,
+                          limit="neumann")
+    assert len(modes) == 3
+    assert all(np.isfinite(mode).all() for mode in modes)
+    problem = BoundaryProblem(conditions=[NeumannBC(q, form="standard")],
+                              forcing=mms.forcing(1.0), alpha=1.0)
+    limit = solve_direct(assemble(domain, problem), compute_cond=False)
+    assert np.array_equal(modes[0], limit.u)
 
 
 def test_cbm_cascade_expands_the_discrete_robin_solution():

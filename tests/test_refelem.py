@@ -99,7 +99,7 @@ def test_differentiation_exact_on_polynomials():
     for order in (2, 4, 7):
         elem = build_reference_element(order)
         r, s = elem.r, elem.s
-        d_r, d_s = elem.eval_basis_grad(r, s)
+        _, d_r, d_s = elem.eval_basis_grad(r, s)
         f = r**order + s**order + r * s
         fr = order * r ** (order - 1) + s
         fs = order * s ** (order - 1) + r
@@ -130,7 +130,7 @@ def test_modal_gradient_consistency():
     s = np.array([-0.3, -0.5, 0.1])
     h = 1e-6
     for order in (2, 5):
-        vr, vs = modal_basis_grad(order, r, s)
+        _, vr, vs = modal_basis_grad(order, r, s)
         fd_r = (modal_basis(order, r + h, s) - modal_basis(order, r - h, s)) / (2 * h)
         fd_s = (modal_basis(order, r, s + h) - modal_basis(order, r, s - h)) / (2 * h)
         assert np.allclose(vr, fd_r, atol=1e-6)
@@ -155,9 +155,22 @@ def test_modal_basis_bitwise_matches_per_mode_reference(order):
         modal_basis(order, r, s),
         np.column_stack([simplex_2d(a, b, i, j) for i, j in modes]),
     )
-    vr, vs = modal_basis_grad(order, r, s)
+    _, vr, vs = modal_basis_grad(order, r, s)
     assert np.array_equal(vr, np.column_stack([g[0] for g in grads]))
     assert np.array_equal(vs, np.column_stack([g[1] for g in grads]))
+
+
+@pytest.mark.parametrize("order", range(1, MAX_ORDER + 1))
+def test_gradient_tabulation_values_equal_values_only_tabulation(order):
+    # the boundary traces take values and gradients from one tabulation;
+    # its values must be the bits of the values-only one, and the cached
+    # cubature table those of eval_basis at the cubature points
+    rng = np.random.default_rng(order)
+    r, s = rng.uniform(-3.0, 2.0, size=(2, 50))
+    elem = build_reference_element(order)
+    assert np.array_equal(modal_basis_grad(order, r, s)[0], modal_basis(order, r, s))
+    assert np.array_equal(elem.eval_basis_grad(r, s)[0], elem.eval_basis(r, s))
+    assert np.array_equal(elem.cub_basis, elem.eval_basis(elem.cub_r, elem.cub_s))
 
 
 def test_eval_basis_interpolates():

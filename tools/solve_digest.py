@@ -9,8 +9,10 @@ segment id (sbm-i, lc 0.2, P 2 and 4, as posed and swapped), with
 ``solve_direct`` and ``l1_error`` wrapped. It prints one line per solve: the
 sha256 of the solution ``u``, then ``cond``, ``residual_inf`` and the L1
 errors taken after it (``-`` for none, comma-separated for several) by
-``repr``. Two trees whose digests differ in any byte do not solve bitwise
-alike.
+``repr``. Last come the degenerate-record gaps of ``aligned_degeneration``
+(no solve) at lc 0.2, one line per order P 1-4 and boundary condition, each
+method's gap by ``repr``. Two trees whose digests differ in any byte do not
+solve bitwise alike.
 
     python tools/solve_digest.py [ROOT]
 
@@ -78,6 +80,11 @@ def main(argv=None):
         run()
         for i, (*cell, errors) in enumerate(cells):
             print(label, i, *cell, ",".join(errors) or "-")
+    for order in range(1, 5):
+        for bc in experiments.FORMS:
+            gaps = experiments.aligned_degeneration(0.2, order, bc)
+            print(f"aligned_degeneration/lc=0.2/P={order}/bc={bc}",
+                  *(f"{method}={float(gap)!r}" for method, gap in sorted(gaps.items())))
 
 
 if __name__ == "__main__":
