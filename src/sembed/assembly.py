@@ -74,7 +74,7 @@ class BoundaryProblem:
     conditions: tuple
     forcing: object = 0.0
     alpha: float = 0.0
-    gamma: float | None = None  # default resolves to h_avg / 2
+    gamma: float | None = None  # default: SurrogateDomain.h_avg / 2
     gamma_scaling: str = "avg"  # 'avg' or 'local'
 
     def __post_init__(self):

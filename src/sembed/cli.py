@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .experiments import FORMS, KINDS, METHODS, ExperimentSpec, artifact_base, run
+from .experiments import FORMS, KINDS, METHODS, ExperimentSpec, run
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -28,25 +28,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--p-ladder", type=int, nargs="+", metavar="P")
     parser.add_argument("--seed", type=int)
     parser.add_argument("--gamma", type=float,
-                        help="penalty scale (default: h_avg / 2)")
+                        help="penalty scale (default: h_avg / 2, with h_avg "
+                        "the mean edge length of the active elements)")
     parser.add_argument("--gamma-scaling", choices=("avg", "local-h"),
-                        help="global h_avg penalty or per-element h")
+                        help="one global penalty, or per element its "
+                        "longest edge times the scale (default 0.5)")
     parser.add_argument("--wavenumber", type=int,
                         help="manufactured solution wavenumber")
     parser.add_argument("--out",
                         help="output basename; writes <out>.csv and "
                         "<out>.json")
-    parser.add_argument("--dat", action="store_true",
-                        help="also write a gnuplot-ready <out>.dat")
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     opts = vars(parser.parse_args(argv))
-    kind, dat = opts.pop("experiment"), opts.pop("dat", False)
-    if dat and "out" not in opts:
-        parser.error("--dat writes <out>.dat and needs --out")
+    kind = opts.pop("experiment")
     if opts.get("gamma_scaling") == "local-h":
         opts["gamma_scaling"] = "local"
     try:
@@ -58,9 +56,6 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if dat:
-        _write_dat(spec.out, rows)
-
     for row in rows:
         print(
             f"{row['kind']} {row['method']:>7} {row['form']:>22} "
@@ -70,16 +65,6 @@ def main(argv=None) -> int:
     for name, value in sorted(rates.items()):
         print(f"{name} = {value:.3f}")
     return 0
-
-
-def _write_dat(out, rows):
-    with open(artifact_base(out) + ".dat", "w") as fh:
-        fh.write("# order lc l1_error cond\n")
-        for row in rows:
-            fh.write(
-                f"{row['order']} {row['lc']} "
-                f"{row['l1_error']} {row['cond']}\n"
-            )
 
 
 if __name__ == "__main__":

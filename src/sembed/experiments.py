@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import numbers
 import time
 from dataclasses import dataclass, asdict, replace
 from functools import partial
@@ -135,8 +136,9 @@ class ExperimentSpec:
             raise ValueError(f"unknown bc {self.bc!r}")
         if not self.lc_ladder or not self.p_ladder:
             raise ValueError("mesh and order ladders must be nonempty")
-        if any(p < 1 or p > MAX_ORDER for p in self.p_ladder):
-            raise ValueError(f"orders must lie in [1, {MAX_ORDER}]")
+        for p in self.p_ladder:
+            if not (isinstance(p, numbers.Integral) and 1 <= p <= MAX_ORDER):
+                raise ValueError(f"orders must be integers in [1, {MAX_ORDER}], got {p!r}")
         self.resolve_form()  # validate eagerly
 
     def resolve_form(self) -> str:
@@ -717,14 +719,8 @@ def run(spec: ExperimentSpec):
     return rows, rates
 
 
-def artifact_base(out):
-    """The path every artifact file of `out` starts with: `out` without a
-    trailing .csv."""
-    return str(out).removesuffix(".csv")
-
-
 def write_artifacts(spec, rows, rates):
-    base = artifact_base(spec.out)
+    base = str(spec.out).removesuffix(".csv")
     with open(base + ".csv", "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
         writer.writeheader()

@@ -8,6 +8,7 @@ Gauss rule exact well beyond degree 2P.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -68,11 +69,6 @@ def jacobi_p_all(x: np.ndarray, alpha: float, beta: float, n: int) -> np.ndarray
     return p
 
 
-def jacobi_p(x: np.ndarray, alpha: float, beta: float, n: int) -> np.ndarray:
-    """Orthonormal Jacobi polynomial of degree n on [-1, 1]."""
-    return jacobi_p_all(x, alpha, beta, n)[n]
-
-
 def grad_jacobi_p_all(x: np.ndarray, alpha: float, beta: float, n: int) -> np.ndarray:
     """Derivatives of `jacobi_p_all(x, alpha, beta, n)`, row k degree k, from
     one recurrence on the (alpha + 1, beta + 1) family."""
@@ -84,10 +80,6 @@ def grad_jacobi_p_all(x: np.ndarray, alpha: float, beta: float, n: int) -> np.nd
             x, alpha + 1, beta + 1, n - 1
         )
     return d
-
-
-def grad_jacobi_p(x: np.ndarray, alpha: float, beta: float, n: int) -> np.ndarray:
-    return grad_jacobi_p_all(x, alpha, beta, n)[n]
 
 
 def gauss_lobatto_1d(n_points: int) -> np.ndarray:
@@ -105,91 +97,73 @@ def vandermonde_1d(order: int, points: np.ndarray) -> np.ndarray:
 
 
 def _rs_to_ab(r: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    denom = np.where(np.abs(1.0 - s) > 1e-14, 1.0 - s, 1.0)
-    a = np.where(np.abs(1.0 - s) > 1e-14, 2.0 * (1.0 + r) / denom - 1.0, -1.0)
+    # within 1e-14 of s = 1, a takes the collapsed vertex's value -1, which
+    # is exact only at r = -1
+    keep = np.abs(1.0 - s) > 1e-14
+    a = np.where(keep, 2.0 * (1.0 + r) / np.where(keep, 1.0 - s, 1.0) - 1.0, -1.0)
     return a, s.copy()
+
+
+def _in_triangle(r: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Whether each (r, s) lies in the closed reference triangle."""
+    return (r >= -1.0) & (s >= -1.0) & (r + s <= 0.0)
 
 
 # Mode (i, j) is sqrt(2) P_i(a) P_j^(2i+1,0)(b) (1-b)^i. The _mode helpers
 # take the a-factor of degree i and b-factors that may stack several j along
-# axis 0, so modal_basis* evaluate every j of one i from one table.
+# axis 0, so _modal_tables evaluates every j of one i from one table.
 
 def _simplex_mode(b, i, fa, gb):
     return np.sqrt(2.0) * fa * gb * (1.0 - b) ** i
 
 
 def _grad_simplex_mode(a, b, i, fa, dfa, gb, dgb):
+    h = 0.5 * (1.0 - b)
     dmodedr = dfa * gb
-    if i > 0:
-        dmodedr = dmodedr * ((0.5 * (1.0 - b)) ** (i - 1))
     dmodeds = dfa * (gb * (0.5 * (1.0 + a)))
+    tmp = dgb * (h**i)
     if i > 0:
-        dmodeds = dmodeds * ((0.5 * (1.0 - b)) ** (i - 1))
-    tmp = dgb * ((0.5 * (1.0 - b)) ** i)
-    if i > 0:
-        tmp = tmp - 0.5 * i * gb * ((0.5 * (1.0 - b)) ** (i - 1))
-    dmodeds = dmodeds + fa * tmp
-
+        dmodedr = dmodedr * (h ** (i - 1))
+        dmodeds = dmodeds * (h ** (i - 1))
+        tmp = tmp - 0.5 * i * gb * (h ** (i - 1))
     norm = 2.0 ** (i + 0.5)
-    return norm * dmodedr, norm * dmodeds
+    return norm * dmodedr, norm * (dmodeds + fa * tmp)
 
 
-def simplex_2d(a: np.ndarray, b: np.ndarray, i: int, j: int) -> np.ndarray:
-    """Mode (i, j) at collapsed coordinates (a, b)."""
-    return _simplex_mode(
-        b, i, jacobi_p(a, 0.0, 0.0, i), jacobi_p(b, 2.0 * i + 1.0, 0.0, j)
-    )
-
-
-def grad_simplex_2d(a, b, i, j):
-    """(d/dr, d/ds) of mode (i, j) at collapsed coordinates (a, b)."""
-    return _grad_simplex_mode(
-        a,
-        b,
-        i,
-        jacobi_p(a, 0.0, 0.0, i),
-        grad_jacobi_p(a, 0.0, 0.0, i),
-        jacobi_p(b, 2.0 * i + 1.0, 0.0, j),
-        grad_jacobi_p(b, 2.0 * i + 1.0, 0.0, j),
-    )
+def _modal_tables(order, r, s, grad):
+    """The modal basis at (r, s), columns ordered (i, j), and with `grad`
+    its d/dr and d/ds: one Jacobi table in a, and one in b per i, give
+    every mode; the derivative tables are built only when asked for."""
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    a, b = _rs_to_ab(r, s)
+    pa = jacobi_p_all(a, 0.0, 0.0, order)
+    dpa = grad_jacobi_p_all(a, 0.0, 0.0, order) if grad else None
+    tables = ([], [], []) if grad else ([],)
+    for i in range(order + 1):
+        pb = jacobi_p_all(b, 2.0 * i + 1.0, 0.0, order - i)
+        modes = [_simplex_mode(b, i, pa[i], pb)]
+        if grad:
+            dpb = grad_jacobi_p_all(b, 2.0 * i + 1.0, 0.0, order - i)
+            modes += _grad_simplex_mode(a, b, i, pa[i], dpa[i], pb, dpb)
+        for table, mode in zip(tables, modes):
+            table.append(mode)
+    # Row-major, like a column stack: a matrix product with a transposed
+    # layout can round differently, and callers rely on exact values.
+    return tuple(np.concatenate(t).T.copy() for t in tables)
 
 
 def modal_basis(order: int, r: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Orthonormal modal basis evaluated at (r, s); columns ordered (i, j).
-
-    One Jacobi table in a, and one in b per i, give every mode; the values
-    equal `simplex_2d` column by column, bit for bit."""
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    a, b = _rs_to_ab(r, s)
-    pa = jacobi_p_all(a, 0.0, 0.0, order)
-    modes = [
-        _simplex_mode(b, i, pa[i], jacobi_p_all(b, 2.0 * i + 1.0, 0.0, order - i))
-        for i in range(order + 1)
-    ]
-    # Row-major, like a column stack: a matrix product with a transposed
-    # layout can round differently, and callers rely on exact values.
-    return np.concatenate(modes).T.copy()
+    Each column equals, bit for bit, its mode evaluated on its own from its
+    own Jacobi polynomials."""
+    return _modal_tables(order, r, s, grad=False)[0]
 
 
 def modal_basis_grad(order: int, r: np.ndarray, s: np.ndarray):
-    """(values, d/dr, d/ds) of `modal_basis`, from one pass over the same
-    tables plus their derivative tables; the values equal `modal_basis` and
-    the derivatives `grad_simplex_2d` column by column, bit for bit."""
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    a, b = _rs_to_ab(r, s)
-    pa = jacobi_p_all(a, 0.0, 0.0, order)
-    dpa = grad_jacobi_p_all(a, 0.0, 0.0, order)
-    modes, modes_r, modes_s = [], [], []
-    for i in range(order + 1):
-        pb = jacobi_p_all(b, 2.0 * i + 1.0, 0.0, order - i)
-        dpb = grad_jacobi_p_all(b, 2.0 * i + 1.0, 0.0, order - i)
-        dr, ds = _grad_simplex_mode(a, b, i, pa[i], dpa[i], pb, dpb)
-        modes.append(_simplex_mode(b, i, pa[i], pb))
-        modes_r.append(dr)
-        modes_s.append(ds)
-    return tuple(np.concatenate(m).T.copy() for m in (modes, modes_r, modes_s))
+    """(values, d/dr, d/ds) of the modal basis at (r, s), from the same walk
+    as `modal_basis`; the values equal `modal_basis` bit for bit."""
+    return _modal_tables(order, r, s, grad=True)
 
 
 def _warp_factor(order: int, rout: np.ndarray) -> np.ndarray:
@@ -293,9 +267,9 @@ class ReferenceElement:
     edge_q: np.ndarray  # 1D Gauss points on [-1, 1]
     edge_w: np.ndarray
     # cached basis/derivative tables at the cubature points
-    cub_basis: np.ndarray = field(repr=False, default=None)
-    cub_dr: np.ndarray = field(repr=False, default=None)
-    cub_ds: np.ndarray = field(repr=False, default=None)
+    cub_basis: np.ndarray = field(repr=False)
+    cub_dr: np.ndarray = field(repr=False)
+    cub_ds: np.ndarray = field(repr=False)
 
     @property
     def n_points(self) -> int:
@@ -314,14 +288,17 @@ class ReferenceElement:
 
 @lru_cache(maxsize=None)
 def build_reference_element(order: int) -> ReferenceElement:
-    if not 1 <= order <= MAX_ORDER:
-        raise ValueError(f"order must be in [1, {MAX_ORDER}], got {order}")
+    if not (isinstance(order, numbers.Integral) and 1 <= order <= MAX_ORDER):
+        raise ValueError(f"order must be an integer in [1, {MAX_ORDER}], got {order!r}")
+    if type(order) is not int:
+        # any integer type names the one element of its order
+        return build_reference_element(int(order))
     r, s = warp_blend_nodes(order)
     v_inv = np.linalg.inv(modal_basis(order, r, s))
     cr, cs, cw = triangle_cubature(2 * order + 1)
     cub_basis, cub_dr, cub_ds = (m @ v_inv for m in modal_basis_grad(order, cr, cs))
     eq, ew = np.polynomial.legendre.leggauss(order + 2)
-    elem = ReferenceElement(
+    return ReferenceElement(
         order=order,
         r=r,
         s=s,
@@ -336,7 +313,6 @@ def build_reference_element(order: int) -> ReferenceElement:
         cub_dr=cub_dr,
         cub_ds=cub_ds,
     )
-    return elem
 
 
 def _lattice_interior(density: int) -> tuple[np.ndarray, np.ndarray]:
@@ -359,7 +335,7 @@ def _lattice_annulus(density: int, radius: float, center: tuple[float, float]):
         pts_s.append(cs + rad * np.sin(theta))
     r = np.concatenate(pts_r)
     s = np.concatenate(pts_s)
-    outside_tri = (r < -1.0) | (s < -1.0) | (r + s > 0.0)
+    outside_tri = ~_in_triangle(r, s)
     return r[outside_tri], s[outside_tri]
 
 
@@ -400,12 +376,10 @@ def lebesgue_constant(
         ss = np.linspace(s0 - h, s0 + h, 21)
         gr, gs = np.meshgrid(rr, ss, indexing="ij")
         gr, gs = gr.ravel(), gs.ravel()
-        if domain == "interior":
-            keep = (gr >= -1.0) & (gs >= -1.0) & (gr + gs <= 0.0)
-        else:
+        keep = _in_triangle(gr, gs)
+        if domain != "interior":
             inside_circle = (gr - center[0]) ** 2 + (gs - center[1]) ** 2 <= radius**2
-            outside_tri = (gr < -1.0) | (gs < -1.0) | (gr + gs > 0.0)
-            keep = inside_circle & outside_tri
+            keep = inside_circle & ~keep
         gr, gs = gr[keep], gs[keep]
         if gr.size == 0:
             break

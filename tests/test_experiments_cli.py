@@ -36,6 +36,18 @@ def test_spec_rejects_bad_orders():
         ExperimentSpec(kind="h_convergence", p_ladder=())
 
 
+@pytest.mark.parametrize("order", [2.5, "3"])
+def test_spec_rejects_non_integer_orders(order):
+    # caught when the spec is built, not as a TypeError inside run
+    with pytest.raises(ValueError, match=repr(order)):
+        ExperimentSpec(kind="h_convergence", p_ladder=(2, order))
+
+
+def test_spec_accepts_numpy_integer_orders():
+    spec = ExperimentSpec(kind="h_convergence", p_ladder=(np.int64(2),))
+    assert spec.p_ladder == (2,)
+
+
 def test_spec_rejects_invalid_form_for_bc():
     with pytest.raises(ValueError, match="form"):
         ExperimentSpec(kind="h_convergence", bc="neumann",
@@ -122,20 +134,10 @@ def test_cli_writes_artifacts(tmp_path, capsys):
     out = tmp_path / "res"
     rc = cli.main(["--experiment", "p_convergence", "--method", "cbm",
                    "--lc-ladder", "0.3", "--p-ladder", "1", "2",
-                   "--out", str(out), "--dat"])
+                   "--out", str(out)])
     assert rc == 0
     assert out.with_suffix(".csv").exists()
     assert out.with_suffix(".json").exists()
-    assert out.with_suffix(".dat").exists()
-
-
-def test_cli_dat_needs_out(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["--experiment", "vandermonde_1d", "--dat"])
-    assert exc.value.code == 2
-    assert "--out" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
 
 
 def _capture_specs(monkeypatch):

@@ -6,20 +6,53 @@ import pytest
 from sembed.refelem import (
     MAX_ORDER,
     build_reference_element,
+    _grad_simplex_mode,
     _rs_to_ab,
+    _simplex_mode,
     gauss_lobatto_1d,
-    grad_jacobi_p,
-    grad_simplex_2d,
-    jacobi_p,
+    grad_jacobi_p_all,
+    jacobi_p_all,
     lebesgue_constant,
     modal_basis,
     modal_basis_grad,
-    simplex_2d,
     triangle_cubature,
     vandermonde_1d,
     vandermonde_shift_study_1d,
     warp_blend_nodes,
 )
+
+
+# The per-mode reference: each Jacobi degree and each mode (i, j) on its
+# own, the oracle the tabulations must match bit for bit.
+
+def jacobi_p(x, alpha, beta, n):
+    """Orthonormal Jacobi polynomial of degree n on [-1, 1]."""
+    return jacobi_p_all(x, alpha, beta, n)[n]
+
+
+def grad_jacobi_p(x, alpha, beta, n):
+    return grad_jacobi_p_all(x, alpha, beta, n)[n]
+
+
+def simplex_2d(a, b, i, j):
+    """Mode (i, j) at collapsed coordinates (a, b)."""
+    return _simplex_mode(
+        b, i, jacobi_p(a, 0.0, 0.0, i), jacobi_p(b, 2.0 * i + 1.0, 0.0, j)
+    )
+
+
+def grad_simplex_2d(a, b, i, j):
+    """(d/dr, d/ds) of mode (i, j) at collapsed coordinates (a, b)."""
+    return _grad_simplex_mode(
+        a,
+        b,
+        i,
+        jacobi_p(a, 0.0, 0.0, i),
+        grad_jacobi_p(a, 0.0, 0.0, i),
+        jacobi_p(b, 2.0 * i + 1.0, 0.0, j),
+        grad_jacobi_p(b, 2.0 * i + 1.0, 0.0, j),
+    )
+
 
 # Independently computed from scipy.special.eval_jacobi plus the closed
 # form L2 norm, frozen here as oracles.
@@ -221,3 +254,13 @@ def test_shift_study_rejects_out_of_range():
 
 def test_build_reference_element_is_cached():
     assert build_reference_element(3) is build_reference_element(3)
+
+
+@pytest.mark.parametrize("order", [2.5, "3", 3.0, None])
+def test_build_reference_element_rejects_non_integer_order(order):
+    with pytest.raises(ValueError, match=repr(order)):
+        build_reference_element(order)
+
+
+def test_numpy_integer_order_names_the_cached_element():
+    assert build_reference_element(np.int64(3)) is build_reference_element(3)

@@ -1,5 +1,5 @@
 """Digest of every solve in the benchmark's workload passes and in the
-Robin studies.
+Robin studies, and of the reference element's tables.
 
 Runs one pass of each workload in ``perfbench/bench.py`` (``random_embedding``
 at every committed seed, 0 to ``bench.REFERENCE_SEEDS`` - 1), then the Robin
@@ -9,10 +9,16 @@ segment id (sbm-i, lc 0.2, P 2 and 4, as posed and swapped), with
 ``solve_direct`` and ``l1_error`` wrapped. It prints one line per solve: the
 sha256 of the solution ``u``, then ``cond``, ``residual_inf`` and the L1
 errors taken after it (``-`` for none, comma-separated for several) by
-``repr``. Last come the degenerate-record gaps of ``aligned_degeneration``
+``repr``. Next come the degenerate-record gaps of ``aligned_degeneration``
 (no solve) at lc 0.2, one line per order P 1-4 and boundary condition, each
-method's gap by ``repr``. Two trees whose digests differ in any byte do not
-solve bitwise alike.
+method's gap by ``repr``. Last, for each order P 1-10, one line with the
+sha256 of the reference element's ``vandermonde_inv``, ``cub_basis``,
+``cub_dr`` and ``cub_ds`` and of the ``modal_basis`` and ``modal_basis_grad``
+tables at a fixed seeded point set inside and outside the reference
+triangle, and one line with the interior and ``extrap_circle`` Lebesgue
+constants at density 50 by ``repr``: no solve reaches the values-only
+tabulation, so these lines are what covers it. Two trees whose digests
+differ in any byte do not solve bitwise alike.
 
     python tools/solve_digest.py [ROOT]
 
@@ -39,7 +45,8 @@ def main(argv=None):
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
 
     import bench
-    from sembed import experiments, mms, solve
+    import numpy as np
+    from sembed import experiments, mms, refelem, solve
 
     cells = []
     solve_direct, l1_error = solve.solve_direct, mms.l1_error
@@ -85,6 +92,30 @@ def main(argv=None):
             gaps = experiments.aligned_degeneration(0.2, order, bc)
             print(f"aligned_degeneration/lc=0.2/P={order}/bc={bc}",
                   *(f"{method}={float(gap)!r}" for method, gap in sorted(gaps.items())))
+
+    # points inside the triangle, in a box around it, at the collapsed
+    # vertex (-1, 1) and on the line s = 1 off it
+    rng = np.random.default_rng(0)
+    inside = rng.dirichlet(np.ones(3), size=100) @ np.array(
+        [[-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0]])
+    outside = rng.uniform(-3.0, 2.0, size=(100, 2))
+    r, s = np.concatenate([inside, outside, [[-1.0, 1.0], [-2.0, 1.0]]]).T
+    for order in range(1, refelem.MAX_ORDER + 1):
+        elem = refelem.build_reference_element(order)
+        tables = {
+            "vandermonde_inv": elem.vandermonde_inv, "cub_basis": elem.cub_basis,
+            "cub_dr": elem.cub_dr, "cub_ds": elem.cub_ds,
+            "modal_basis": refelem.modal_basis(order, r, s),
+        }
+        for name, table in zip(("values", "dr", "ds"),
+                               refelem.modal_basis_grad(order, r, s)):
+            tables[f"modal_basis_grad/{name}"] = table
+        print(f"refelem/P={order}", *(
+            f"{name}={hashlib.sha256(table.tobytes()).hexdigest()}"
+            for name, table in tables.items()))
+        print(f"lebesgue/P={order}/density=50",
+              *(f"{domain}={refelem.lebesgue_constant(elem, domain, density=50)!r}"
+                for domain in ("interior", "extrap_circle")))
 
 
 if __name__ == "__main__":
