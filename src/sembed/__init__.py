@@ -6,7 +6,8 @@ from .assembly import (
     AssembledSystem, BoundaryProblem, DirichletBC, NeumannBC, RobinBC, assemble,
 )
 from .embedding import (
-    SurrogateDomain, build_surrogate, classify_elements, conformal_surrogate,
+    SurrogateDomain, build_surrogate, build_surrogates, classify_elements,
+    conformal_surrogate,
 )
 from .experiments import ExperimentSpec, ap_cascade, random_embedding_assessment
 from .geometry import Circle, Difference, Rectangle
@@ -27,7 +28,7 @@ __all__ = [
     "ExperimentSpec", "ManufacturedSolution", "NeumannBC", "Rectangle",
     "ReferenceElement", "RobinBC", "SolveReport", "SurrogateDomain", "TriMesh",
     "ap_cascade", "assemble", "build_reference_element", "build_surrogate",
-    "classify_elements", "condition_number", "conformal_surrogate",
+    "build_surrogates", "classify_elements", "condition_number", "conformal_surrogate",
     "generate_structured_disk", "generate_structured_square", "l1_error",
     "lebesgue_constant", "random_embedding_assessment", "solve_direct",
     "vandermonde_shift_study_1d",

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .embedding import SurrogateDomain
+# callers and perfbench's tracer name the DOF map sembed.assembly.build_dof_map
+from .embedding import SurrogateDomain, build_dof_map  # noqa: F401
 from .refelem import barycentric, build_reference_element
 
 DIRICHLET_FORMS = ("nitsche_nonsym", "nitsche_sym", "aubin")
@@ -105,32 +106,6 @@ class AssembledSystem:
     # (n_active, n_p, n_p) summed volume and boundary block of each active
     # element, kept at P >= 3 for the condensed solve; else None
     elem_matrices: np.ndarray | None = None
-
-
-def build_dof_map(domain: SurrogateDomain):
-    """C0 global numbering from mesh topology.
-
-    An element-local node is keyed by the (vertex id, lattice weight) pairs
-    of its element's vertices with nonzero weight, sorted by vertex id, so
-    elements sharing a vertex or an edge share the nodes on it. DOFs are
-    numbered in order of first appearance (active elements in order, nodes
-    in node order) and placed at their first appearance's point.
-    """
-    elem = build_reference_element(domain.order)
-    verts = domain.mesh.elements[domain.active][:, None, :]
-    weights = elem.lattice
-    # one integer per pair, ordered as the vertex ids; 0 for a zero weight
-    pairs = np.where(weights > 0, (verts + 1) * (domain.order + 1) + weights, 0)
-    keys = np.sort(pairs, axis=2).reshape(-1, 3)
-    # a stable sort puts each key's first appearance at the head of its run
-    order = np.lexsort(keys.T)
-    run = np.r_[True, (np.diff(keys[order], axis=0) != 0).any(axis=1)]
-    head = np.empty_like(order)
-    head[order] = order[run][np.cumsum(run) - 1]
-    is_head = head == np.arange(head.size)
-    loc2glob = (np.cumsum(is_head) - 1)[head].reshape(pairs.shape[:2])
-    points = domain.mesh.to_physical(domain.active, np.column_stack([elem.r, elem.s]))
-    return loc2glob, points.reshape(-1, 2)[is_head]
 
 
 def _eval_field(data, rec, sel):
@@ -291,7 +266,7 @@ def assemble(
     """
     mesh = domain.mesh
     elem = build_reference_element(domain.order)
-    loc2glob, dof_coords = build_dof_map(domain)
+    loc2glob, dof_coords = domain.dof_map
     n_dof = dof_coords.shape[0]
 
     # An affine element's volume block is |J| (sum_ab G_ab S_ab + alpha M)

@@ -4,12 +4,14 @@ Given a background mesh and an implicit geometry, classify elements by the
 level-set sign at their vertices, extract the surrogate boundary, and build
 per-quadrature-point mapping records (x_bar on the surrogate edge, the mapped
 point x on the true boundary, the distance vector d, and both normal frames).
+A domain also numbers its DOFs and tabulates its boundary traces; domains
+built together share what they have in common (`SharedTables`).
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -82,24 +84,73 @@ class BoundaryTraces:
     gmapn: np.ndarray  # grad(basis) . n at the mapped x
 
 
-def _boundary_traces(domain: SurrogateDomain) -> BoundaryTraces:
+def _traces_at(domain: SurrogateDomain, rs, normal):
+    """Basis values and normal derivatives (n_rec, nq, n_p) of the owners of
+    the domain's records at their reference points rs (n_rec, nq, 2), with
+    normals (n_rec * nq, 2), from one tabulation."""
     elem = build_reference_element(domain.order)
-    records = domain.records
-    n_rec, nq = records.w.shape
-    binv = np.repeat(domain.mesh.affine_b_inv[records.elem], nq, axis=0)
+    n_rec, nq = rs.shape[:2]
+    binv = np.repeat(domain.mesh.affine_b_inv[domain.records.elem], nq, axis=0)
+    rs = rs.reshape(-1, 2)
+    v, gr, gs = elem.eval_basis_grad(rs[:, 0], rs[:, 1])
+    gx = gr * binv[:, 0, 0:1] + gs * binv[:, 1, 0:1]
+    gy = gr * binv[:, 0, 1:2] + gs * binv[:, 1, 1:2]
+    gn = gx * normal[:, 0:1] + gy * normal[:, 1:2]
+    return v.reshape(n_rec, nq, -1), gn.reshape(n_rec, nq, -1)
 
-    def value_and_normal_derivative(rs, normal):
-        v, gr, gs = elem.eval_basis_grad(rs[:, 0], rs[:, 1])
-        gx = gr * binv[:, 0, 0:1] + gs * binv[:, 1, 0:1]
-        gy = gr * binv[:, 0, 1:2] + gs * binv[:, 1, 1:2]
-        gn = gx * normal[:, 0:1] + gy * normal[:, 1:2]
-        return v.reshape(n_rec, nq, -1), gn.reshape(n_rec, nq, -1)
 
-    vbar, gbarn = value_and_normal_derivative(
-        records.rs_bar.reshape(-1, 2), np.repeat(records.nbar, nq, axis=0))
-    vmap, gmapn = value_and_normal_derivative(
-        records.rs_map.reshape(-1, 2), records.n.reshape(-1, 2))
-    return BoundaryTraces(vbar=vbar, vmap=vmap, gbarn=gbarn, gmapn=gmapn)
+def build_dof_map(domain: SurrogateDomain):
+    """C0 global numbering from mesh topology.
+
+    An element-local node is keyed by the (vertex id, lattice weight) pairs
+    of its element's vertices with nonzero weight, sorted by vertex id, so
+    elements sharing a vertex or an edge share the nodes on it. DOFs are
+    numbered in order of first appearance (active elements in order, nodes
+    in node order) and placed at their first appearance's point.
+    """
+    elem = build_reference_element(domain.order)
+    verts = domain.mesh.elements[domain.active][:, None, :]
+    weights = elem.lattice
+    # one integer per pair, ordered as the vertex ids; 0 for a zero weight
+    pairs = np.where(weights > 0, (verts + 1) * (domain.order + 1) + weights, 0)
+    keys = np.sort(pairs, axis=2).reshape(-1, 3)
+    # a stable sort puts each key's first appearance at the head of its run
+    order = np.lexsort(keys.T)
+    run = np.r_[True, (np.diff(keys[order], axis=0) != 0).any(axis=1)]
+    head = np.empty_like(order)
+    head[order] = order[run][np.cumsum(run) - 1]
+    is_head = head == np.arange(head.size)
+    loc2glob = (np.cumsum(is_head) - 1)[head].reshape(pairs.shape[:2])
+    points = domain.mesh.to_physical(domain.active, np.column_stack([elem.r, elem.s]))
+    return loc2glob, points.reshape(-1, 2)[is_head]
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+class SharedTables:
+    """What the domains of one (mode, order) built together have in common:
+    the DOF numbering and the x_bar half (vbar, gbarn) of the trace table.
+    Each is computed on first use, from whichever domain asks first, and is
+    read-only, as every domain holding it reads the same arrays."""
+
+    def __init__(self):
+        self._dof_map = self._bar_traces = None
+
+    def dof_map(self, domain: SurrogateDomain):
+        if self._dof_map is None:
+            self._dof_map = _read_only(*build_dof_map(domain))
+        return self._dof_map
+
+    def bar_traces(self, domain: SurrogateDomain):
+        if self._bar_traces is None:
+            records = domain.records
+            nbar = np.repeat(records.nbar, records.w.shape[1], axis=0)
+            self._bar_traces = _read_only(*_traces_at(domain, records.rs_bar, nbar))
+        return self._bar_traces
 
 
 @dataclass(frozen=True)
@@ -111,16 +162,30 @@ class SurrogateDomain:
     order: int
     active: np.ndarray  # active element indices
     records: EdgeRecords
+    # not an __init__ field, so dataclasses.replace starts a fresh one;
+    # build_surrogates hands one to all domains of a (mode, order)
+    shared: SharedTables = field(default_factory=SharedTables, init=False,
+                                 repr=False, compare=False)
 
     @property
     def n_active(self) -> int:
         return self.active.size
 
+    @property
+    def dof_map(self) -> tuple[np.ndarray, np.ndarray]:
+        """(loc2glob, dof_coords) of `build_dof_map`, shared as `shared`
+        is."""
+        return self.shared.dof_map(self)
+
     @cached_property
     def traces(self) -> BoundaryTraces:
         """Basis traces of all records, evaluated on first use and kept for
-        the life of the domain (the records must not change after that)."""
-        return _boundary_traces(self)
+        the life of the domain (the records must not change after that). The
+        x_bar half comes from `shared`."""
+        vbar, gbarn = self.shared.bar_traces(self)
+        vmap, gmapn = _traces_at(self, self.records.rs_map,
+                                 self.records.n.reshape(-1, 2))
+        return BoundaryTraces(vbar=vbar, vmap=vmap, gbarn=gbarn, gmapn=gmapn)
 
     @cached_property
     def active_row(self) -> np.ndarray:
@@ -170,10 +235,11 @@ def _surrogate_edges(mesh: TriMesh, keep_elem: np.ndarray):
 
 
 def _edge_records(mesh: TriMesh, geometry, mapping_kind, edges, owners,
-                  order: int) -> EdgeRecords:
+                  order: int, crossings=None) -> EdgeRecords:
     """The record table of the surrogate edges `edges` owned by `owners`,
     in that order. Every field is computed once over all edges. The
-    'identity' mapping keeps x = x_bar and n = n_bar."""
+    'identity' mapping keeps x = x_bar and n = n_bar; the in-element mapping
+    takes `crossings`, the owners' `_boundary_crossings`."""
     ref = build_reference_element(order)
     fractions = 0.5 * (ref.edge_q + 1.0)
     a = mesh.vertices[mesh.edges[edges, 0]]
@@ -192,7 +258,8 @@ def _edge_records(mesh: TriMesh, geometry, mapping_kind, edges, owners,
     else:
         x = geometry.project(flat).reshape(xbar.shape)
         if mapping_kind == "in_element_equidistant":
-            _map_in_element(mesh, geometry, edges, owners, v, fractions, x)
+            _map_in_element(mesh, geometry, edges, owners, v, fractions, x,
+                            crossings)
         flat = x.reshape(-1, 2)
         n = geometry.normal(flat).reshape(x.shape)
     segment = (
@@ -269,12 +336,13 @@ def _arc_points(geometry, p0, p1, fractions):
     return out
 
 
-def _map_in_element(mesh, geometry, edges, owners, v, fractions, x):
+def _map_in_element(mesh, geometry, edges, owners, v, fractions, x, crossings):
     """Overwrite x, in place, with points spread evenly over the boundary
     arc that cuts each record's owner at exactly two points, oriented like
-    the edge vector v. Records whose owner is not cut that way keep their
-    closest-point x, and each logs a warning."""
-    pairs, two = _boundary_crossings(mesh, geometry, owners)
+    the edge vector v; `crossings` are the owners' `_boundary_crossings`.
+    Records whose owner is not cut that way keep their closest-point x, and
+    each logs a warning."""
+    pairs, two = crossings
     p0, p1 = pairs[:, 0], pairs[:, 1]
     swap = np.einsum("ij,ij->i", p1 - p0, v) < 0
     p0, p1 = np.where(swap[:, None], p1, p0), np.where(swap[:, None], p0, p1)
@@ -299,6 +367,60 @@ def _map_in_element(mesh, geometry, edges, owners, v, fractions, x):
         )
 
 
+def build_surrogates(mesh: TriMesh, geometry: ImplicitGeometry,
+                     variants) -> list[SurrogateDomain]:
+    """One surrogate domain per (mode, mapping_kind, order) of `variants`,
+    in variant order, each bitwise equal to the one a call with that
+    variant alone builds.
+
+    The mesh classification is computed once; each mode's active set,
+    connectivity check and surrogate edges once; and its in-element crossing
+    search once, for every order. Domains of one (mode, order) share their
+    DOF numbering and x_bar traces (`SurrogateDomain.shared`). Variants are
+    checked and built in order, so the first that fails raises, after the
+    warnings of those before it.
+    """
+    labels = None
+    per_mode = {}  # mode -> (active, surrogate edges, owners)
+    crossings = {}  # mode -> _boundary_crossings of its owners
+    shared = {}  # (mode, order) -> SharedTables
+    domains = []
+    for mode, mapping_kind, order in variants:
+        if mode not in ("extrapolation", "interpolation"):
+            raise ValueError(f"unknown mode {mode!r}")
+        if mapping_kind not in ("closest_point", "in_element_equidistant"):
+            raise ValueError(f"unknown mapping_kind {mapping_kind!r}")
+        if mapping_kind == "in_element_equidistant" and mode != "interpolation":
+            raise ValueError("in-element mapping requires interpolation mode")
+
+        if labels is None:
+            labels = classify_elements(mesh, geometry)
+        if mode not in per_mode:
+            keep = labels == INSIDE if mode == "extrapolation" else labels != OUTSIDE
+            active = np.flatnonzero(keep)
+            _check_connected(mesh, active)
+            per_mode[mode] = (active, *_surrogate_edges(mesh, keep))
+        active, edges, owners = per_mode[mode]
+        if mapping_kind == "in_element_equidistant" and mode not in crossings:
+            crossings[mode] = _boundary_crossings(mesh, geometry, owners)
+
+        records = _edge_records(mesh, geometry, mapping_kind, edges, owners,
+                                order, crossings.get(mode))
+        domain = SurrogateDomain(
+            mesh=mesh,
+            geometry=geometry,
+            mode=mode,
+            mapping_kind=mapping_kind,
+            order=order,
+            active=active,
+            records=records,
+        )
+        object.__setattr__(domain, "shared",
+                           shared.setdefault((mode, order), domain.shared))
+        domains.append(domain)
+    return domains
+
+
 def build_surrogate(
     mesh: TriMesh,
     geometry: ImplicitGeometry,
@@ -306,7 +428,8 @@ def build_surrogate(
     mapping_kind: str = "closest_point",
     order: int = 1,
 ) -> SurrogateDomain:
-    """Active set + surrogate boundary + mapping records.
+    """Active set + surrogate boundary + mapping records: `build_surrogates`
+    with one variant.
 
     mode 'extrapolation' keeps fully-inside elements (SBM-e); 'interpolation'
     keeps inside and cut elements (SBM-ei / SBM-i). mapping_kind
@@ -314,32 +437,7 @@ def build_surrogate(
     (interpolation mode only) spreads the points over the boundary arc cut
     out by the owning element.
     """
-    if mode not in ("extrapolation", "interpolation"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mapping_kind not in ("closest_point", "in_element_equidistant"):
-        raise ValueError(f"unknown mapping_kind {mapping_kind!r}")
-    if mapping_kind == "in_element_equidistant" and mode != "interpolation":
-        raise ValueError("in-element mapping requires interpolation mode")
-
-    labels = classify_elements(mesh, geometry)
-    if mode == "extrapolation":
-        keep = labels == INSIDE
-    else:
-        keep = labels != OUTSIDE
-    active = np.flatnonzero(keep)
-    _check_connected(mesh, active)
-
-    edges, owners = _surrogate_edges(mesh, keep)
-    records = _edge_records(mesh, geometry, mapping_kind, edges, owners, order)
-    return SurrogateDomain(
-        mesh=mesh,
-        geometry=geometry,
-        mode=mode,
-        mapping_kind=mapping_kind,
-        order=order,
-        active=active,
-        records=records,
-    )
+    return build_surrogates(mesh, geometry, [(mode, mapping_kind, order)])[0]
 
 
 def conformal_surrogate(

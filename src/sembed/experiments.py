@@ -34,7 +34,9 @@ from .assembly import (
     _eval_flux,
     assemble,
 )
-from .embedding import _edge_records, build_surrogate, conformal_surrogate
+from .embedding import (
+    _edge_records, build_surrogate, build_surrogates, conformal_surrogate,
+)
 from .geometry import Circle, Rectangle, Difference
 from .meshing import generate_structured_disk, generate_structured_square
 from .mms import ManufacturedSolution, l1_error
@@ -309,7 +311,8 @@ def random_embedding_assessment(n_circles=100, lc=RANDOM_EMBEDDING_LC, seed=0,
     Centers are drawn uniformly so the circle stays inside the square with
     a margin of 2 lc, from a PCG64 generator seeded explicitly, so the
     assessment reproduces across platforms. A circle is accepted when all
-    its (method, order) surrogates build; each is built once and solved.
+    its (method, order) surrogates build; they are built together by one
+    `build_surrogates` call, and each is solved once.
     Returns per-(method, order) medians and variances of log10 L1 error and
     log10 cond, plus the raw samples.
     """
@@ -331,7 +334,8 @@ def random_embedding_assessment(n_circles=100, lc=RANDOM_EMBEDDING_LC, seed=0,
         center = rng.uniform(lo, hi, size=2)
         geometry = Circle(tuple(center), FIXTURE_RADIUS)
         try:
-            domains = [_surrogate(m, mesh, geometry, p) for m, p in cells]
+            domains = build_surrogates(
+                mesh, geometry, [(*METHODS[m][:2], p) for m, p in cells])
         except ValueError as exc:
             # empty or disconnected active set
             log.warning("random embedding: resampling the circle at "

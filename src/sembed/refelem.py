@@ -98,10 +98,32 @@ def vandermonde_1d(order: int, points: np.ndarray) -> np.ndarray:
 
 def _rs_to_ab(r: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # within 1e-14 of s = 1, a takes the collapsed vertex's value -1, which
-    # is exact only at r = -1
+    # is exact only at r = -1; _modal_tables mends the other points there
     keep = np.abs(1.0 - s) > 1e-14
     a = np.where(keep, 2.0 * (1.0 + r) / np.where(keep, 1.0 - s, 1.0) - 1.0, -1.0)
     return a, s.copy()
+
+
+def _collapsed_line_factors(order, r, s):
+    """P_i(a) (1 - s)^i for i = 0..order, with its d/dr and d/ds, where a =
+    (1 + 2r + s) / (1 - s) cannot be formed: near the line s = 1. Legendre's
+    recurrence scaled by (1 - s)^(k + 1) runs in u = 1 + 2r + s and
+    w2 = (1 - s)^2 only; rows are normalized as jacobi_p_all's."""
+    u = 1.0 + 2.0 * r + s
+    w2 = (1.0 - s) ** 2
+    dw2 = -2.0 * (1.0 - s)  # d(w2)/ds; u has d/dr 2 and d/ds 1
+    q, qr, qs = np.zeros((3, order + 1) + r.shape)
+    q[0] = 1.0
+    if order > 0:
+        q[1], qr[1], qs[1] = u, 2.0, 1.0
+    for k in range(1, order):
+        q[k + 1] = ((2 * k + 1) * u * q[k] - k * w2 * q[k - 1]) / (k + 1)
+        qr[k + 1] = ((2 * k + 1) * (2.0 * q[k] + u * qr[k])
+                     - k * w2 * qr[k - 1]) / (k + 1)
+        qs[k + 1] = ((2 * k + 1) * (q[k] + u * qs[k])
+                     - k * (dw2 * q[k - 1] + w2 * qs[k - 1])) / (k + 1)
+    norm = np.sqrt(np.arange(order + 1) + 0.5).reshape((-1,) + (1,) * r.ndim)
+    return norm * q, norm * qr, norm * qs
 
 
 def _in_triangle(r: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -139,6 +161,11 @@ def _modal_tables(order, r, s, grad):
     a, b = _rs_to_ab(r, s)
     pa = jacobi_p_all(a, 0.0, 0.0, order)
     dpa = grad_jacobi_p_all(a, 0.0, 0.0, order) if grad else None
+    # off r = -1 on the collapsed line, a = -1 is wrong: there the factor
+    # P_i(a) (1 - b)^i of each mode comes from the scaled recurrence
+    line = (np.abs(1.0 - s) <= 1e-14) & (r != -1.0)
+    if line.any():
+        q, qr, qs = _collapsed_line_factors(order, r[line], s[line])
     tables = ([], [], []) if grad else ([],)
     for i in range(order + 1):
         pb = jacobi_p_all(b, 2.0 * i + 1.0, 0.0, order - i)
@@ -146,6 +173,12 @@ def _modal_tables(order, r, s, grad):
         if grad:
             dpb = grad_jacobi_p_all(b, 2.0 * i + 1.0, 0.0, order - i)
             modes += _grad_simplex_mode(a, b, i, pa[i], dpa[i], pb, dpb)
+        if line.any():
+            gb = np.sqrt(2.0) * pb[:, line]
+            modes[0][:, line] = q[i] * gb
+            if grad:
+                modes[1][:, line] = qr[i] * gb
+                modes[2][:, line] = qs[i] * gb + np.sqrt(2.0) * q[i] * dpb[:, line]
         for table, mode in zip(tables, modes):
             table.append(mode)
     # Row-major, like a column stack: a matrix product with a transposed

@@ -251,16 +251,25 @@ def _count_builds(monkeypatch):
 
 
 def test_random_embedding_builds_each_surrogate_once(monkeypatch):
-    calls = _count_builds(monkeypatch)
+    single = _count_builds(monkeypatch)
+    calls = []
+    real = experiments.build_surrogates
+
+    def counting(mesh, geometry, variants):
+        calls.append((tuple(geometry.center), list(variants)))
+        return real(mesh, geometry, variants)
+
+    monkeypatch.setattr(experiments, "build_surrogates", counting)
     _, samples, centers = experiments.random_embedding_assessment(
         n_circles=2, seed=0, orders=(1, 2)
     )
     assert all(len(cell["log_err"]) == 2 for cell in samples.values())
+    assert single == []
     for center in centers:
-        mine = [args for c, args in calls if c == tuple(center)]
-        # three methods x two orders, each built once
-        assert len(mine) == 6
-        assert len(set(mine)) == 6
+        mine = [variants for c, variants in calls if c == tuple(center)]
+        # one call builds three methods x two orders, each once
+        assert len(mine) == 1
+        assert len(set(mine[0])) == len(mine[0]) == 6
 
 
 def test_robin_delta_study_shares_one_surrogate_per_cell(monkeypatch):
@@ -324,16 +333,16 @@ def test_aligned_degeneration_gaps_equal_dense_comparison(bc, monkeypatch):
 
 
 def test_random_embedding_logs_each_resampled_center(monkeypatch, caplog):
-    real = experiments._surrogate
+    real = experiments.build_surrogates
     rejected = []
 
-    def fail_once(method, mesh, geometry, order):
+    def fail_once(mesh, geometry, variants):
         if not rejected:
             rejected.append(tuple(geometry.center))
             raise ValueError("empty active set")
-        return real(method, mesh, geometry, order)
+        return real(mesh, geometry, variants)
 
-    monkeypatch.setattr(experiments, "_surrogate", fail_once)
+    monkeypatch.setattr(experiments, "build_surrogates", fail_once)
     with caplog.at_level(logging.WARNING, logger="sembed.experiments"):
         _, _, centers = experiments.random_embedding_assessment(
             n_circles=1, orders=(1,)

@@ -45,14 +45,6 @@ C = 10.0
 ROBIN_EPS = 0.3
 ALPHA = 1.0
 SBM_METHODS = ("sbm-e", "sbm-ei", "sbm-i")
-# Known defect: on the plate, some of sbm-e's closest points on the straight
-# sides land on the line s = 1 of their owner's reference coordinates (to
-# 1e-15), and refelem._rs_to_ab gives every point within 1e-14 of that line
-# the collapsed vertex's a = -1, right only at r = -1. The basis values
-# there are wrong, and the solution's relative error is 7e-2 at P 3.
-COLLAPSED_LINE = pytest.mark.xfail(
-    strict=True, reason="modal basis wrong on the line s = 1 off the vertex")
-PLATE_METHODS = (pytest.param("sbm-e", marks=COLLAPSED_LINE), "sbm-ei", "sbm-i")
 FORM_CASES = (
     [("dirichlet", f) for f in DIRICHLET_FORMS]
     + [("neumann", f) for f in NEUMANN_FORMS]
@@ -117,6 +109,9 @@ def disk(method, order):
 
 @cache
 def plate(method):
+    # some of sbm-e's closest points on the straight sides land on the line
+    # s = 1 of their owner's reference coordinates (to 1e-15), off the
+    # collapsed vertex
     return square_with_hole_fixture(method, 0.2, 3)
 
 
@@ -130,14 +125,14 @@ def test_disk_reproduces_degree_p(method, bc, form, order):
 
 
 @pytest.mark.parametrize("bc", ("dirichlet", "neumann", "robin"))
-@pytest.mark.parametrize("method", PLATE_METHODS)
+@pytest.mark.parametrize("method", SBM_METHODS)
 def test_plate_with_hole_reproduces_degree_p(method, bc):
     # each condition in its default form
     u, flux, forcing = exact(3)
     assert_reproduced(plate(method), [condition(bc, u, flux)], u, forcing)
 
 
-@pytest.mark.parametrize("method", PLATE_METHODS)
+@pytest.mark.parametrize("method", SBM_METHODS)
 def test_plate_with_hole_mixed_where_reproduces_degree_p(method):
     # Dirichlet on the hole, picked by segment id; Neumann elsewhere
     u, flux, forcing = exact(3)

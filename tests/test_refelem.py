@@ -206,6 +206,37 @@ def test_gradient_tabulation_values_equal_values_only_tabulation(order):
     assert np.array_equal(elem.cub_basis, elem.eval_basis(elem.cub_r, elem.cub_s))
 
 
+@pytest.mark.parametrize("order", range(1, MAX_ORDER + 1))
+def test_nodal_basis_reproduces_degree_p_on_the_collapsed_line(order):
+    # Off the triangle on s = 1, and within 1e-14 of it, a = -1 is wrong and
+    # the collapsed-line recurrence takes over. Values and gradients must
+    # then be a degree-P polynomial's to roundoff: the error of a sum of
+    # products sum_k f_k phi_k(x) is bounded by a few eps * sum_k |f_k
+    # phi_k(x)|. With a = -1 they were off by 0.6 to 4e4 in those units.
+    rng = np.random.default_rng(order)
+    c = rng.normal(size=3)
+    p = order
+
+    def f(r, s):
+        return (c[0] + c[1] * r + c[2] * s) ** p + r ** (p - 1) * s
+
+    def f_r(r, s):
+        return p * c[1] * (c[0] + c[1] * r + c[2] * s) ** (p - 1) + (
+            (p - 1) * r ** max(p - 2, 0) * s)
+
+    def f_s(r, s):
+        return p * c[2] * (c[0] + c[1] * r + c[2] * s) ** (p - 1) + r ** (p - 1)
+
+    line_r = np.array([-3.0, -2.0, -1.5, -0.999, 0.0, 0.5, 1.0, 2.0])
+    r = np.tile(line_r, 3)
+    s = np.repeat([1.0, 1.0 + 9e-16, 1.0 - 5e-15], line_r.size)
+    elem = build_reference_element(order)
+    nodal = f(elem.r, elem.s)
+    for table, exact in zip(elem.eval_basis_grad(r, s), (f, f_r, f_s)):
+        bound = 1e-13 * np.abs(table * nodal).sum(axis=1)
+        assert np.all(np.abs(table @ nodal - exact(r, s)) <= bound)
+
+
 def test_eval_basis_interpolates():
     elem = build_reference_element(4)
     rng = np.random.default_rng(3)
