@@ -108,24 +108,32 @@ class AssembledSystem:
     elem_matrices: np.ndarray | None = None
 
 
-def _eval_field(data, rec, sel):
-    """Boundary data at the mapped points of `rec`, the sub-table `sel` of
-    the domain's records: `data` is a callable of (m, 2) points, an
-    (n_rec, nq) array over all records, or a scalar."""
+def _eval_field(data, records, sel):
+    """Boundary data at the mapped points of the records `sel` of the
+    domain's `records`: `data` is a callable of (m, 2) points, an
+    (n_rec, nq) array over all records, or a scalar. An array of any other
+    shape raises ValueError."""
+    x = records.x[sel]
     if callable(data):
-        return np.asarray(data(rec.x.reshape(-1, 2)), dtype=float).reshape(rec.w.shape)
+        return np.asarray(data(x.reshape(-1, 2)), dtype=float).reshape(x.shape[:2])
     data = np.asarray(data, dtype=float)
-    return data[sel] if data.ndim else np.full(rec.w.shape, float(data))
+    if not data.ndim:
+        return np.full(x.shape[:2], float(data))
+    if data.shape != records.w.shape:
+        raise ValueError(f"boundary data of shape {data.shape}, expected "
+                         f"{records.w.shape} (n_rec, nq)")
+    return data[sel]
 
 
-def _eval_flux(data, rec, sel):
+def _eval_flux(data, records, sel):
     """Flux data q = grad(u) . n: a callable is called as q(x, n) with the
     records' normals, so the conformal path gets the surrogate normal and
     the shifted path the true one; other data as in _eval_field."""
     if callable(data):
-        q = data(rec.x.reshape(-1, 2), rec.n.reshape(-1, 2))
-        return np.asarray(q, dtype=float).reshape(rec.w.shape)
-    return _eval_field(data, rec, sel)
+        x, n = records.x[sel], records.n[sel]
+        q = data(x.reshape(-1, 2), n.reshape(-1, 2))
+        return np.asarray(q, dtype=float).reshape(x.shape[:2])
+    return _eval_field(data, records, sel)
 
 
 def _scatter(n, batches, fmt="csr"):
@@ -190,7 +198,7 @@ def _elem_traces(domain, elem, rec):
     return traces.vbar[i], traces.vmap[i], traces.gbarn[i], traces.gmapn[i]
 
 
-def _condition_terms(cond, rec, sel, traces, gamma):
+def _condition_terms(cond, records, sel, traces, gamma):
     """Boundary blocks (m, n_p, n_p) and load vectors (m, n_p, 1) of the m
     records rec = records[sel] on which `cond` holds, from their traces
     (m, nq, n_p) and penalties gamma (m,). np.matmul over the record axis
@@ -198,6 +206,7 @@ def _condition_terms(cond, rec, sel, traces, gamma):
     order of one record's, so a batch is bitwise equal to its records."""
     vbar, vmap, gbarn, gmapn = traces
     m, _, n_p = vbar.shape
+    rec = records[sel]
     w = rec.w
 
     def col(v):
@@ -212,7 +221,7 @@ def _condition_terms(cond, rec, sel, traces, gamma):
     block -= tr(vbar * col(w)) @ gbarn
 
     if isinstance(cond, DirichletBC):
-        ud = _eval_field(cond.data, rec, sel)
+        ud = _eval_field(cond.data, records, sel)
         test = vmap if cond.form == "nitsche_sym" else vbar
         block += tr(test * col(w)) @ vmap / g
         load = tr(test) @ col(w * ud) / g
@@ -224,7 +233,7 @@ def _condition_terms(cond, rec, sel, traces, gamma):
 
     nn = (rec.nbar[:, None] * rec.n).sum(axis=2)
     if isinstance(cond, NeumannBC):
-        qn = _eval_flux(cond.data, rec, sel)
+        qn = _eval_flux(cond.data, records, sel)
         block += tr(vbar * col(w * nn)) @ gmapn
         bvec += tr(vbar) @ col(w * nn * qn)
         if cond.form == "with_symmetric_penalty":
@@ -232,8 +241,8 @@ def _condition_terms(cond, rec, sel, traces, gamma):
             bvec -= g * tr(gbarn) @ col(w * nn * qn)
         return block, bvec
 
-    ud = _eval_field(cond.u_data, rec, sel)
-    qn = _eval_flux(cond.q_data, rec, sel)
+    ud = _eval_field(cond.u_data, records, sel)
+    qn = _eval_flux(cond.q_data, records, sel)
     test = vmap / g
     if cond.form != "aubin":
         test = test - gbarn
@@ -326,7 +335,7 @@ def assemble(
         sel = np.flatnonzero(matched == k)
         if sel.size:
             blocks[sel], bvecs[sel] = _condition_terms(
-                cond, records[sel], sel, [t[sel] for t in traces], gamma[sel]
+                cond, records, sel, [t[sel] for t in traces], gamma[sel]
             )
 
     if not tagged.all():

@@ -375,10 +375,13 @@ def build_surrogates(mesh: TriMesh, geometry: ImplicitGeometry,
 
     The mesh classification is computed once; each mode's active set,
     connectivity check and surrogate edges once; and its in-element crossing
-    search once, for every order. Domains of one (mode, order) share their
-    DOF numbering and x_bar traces (`SurrogateDomain.shared`). Variants are
-    checked and built in order, so the first that fails raises, after the
-    warnings of those before it.
+    search once, for every order. The conformal mode keeps every element,
+    with neither classification nor connectivity check, so its surrogate
+    edges are the mesh hull; `geometry` may be None when every variant is
+    conformal. Domains of one (mode, order) share their DOF numbering and
+    x_bar traces (`SurrogateDomain.shared`). Variants are checked and built
+    in order, so the first that fails raises, after the warnings of those
+    before it.
     """
     labels = None
     per_mode = {}  # mode -> (active, surrogate edges, owners)
@@ -386,19 +389,25 @@ def build_surrogates(mesh: TriMesh, geometry: ImplicitGeometry,
     shared = {}  # (mode, order) -> SharedTables
     domains = []
     for mode, mapping_kind, order in variants:
-        if mode not in ("extrapolation", "interpolation"):
+        if mode not in ("extrapolation", "interpolation", "conformal"):
             raise ValueError(f"unknown mode {mode!r}")
-        if mapping_kind not in ("closest_point", "in_element_equidistant"):
+        if mapping_kind not in ("closest_point", "in_element_equidistant", "identity"):
             raise ValueError(f"unknown mapping_kind {mapping_kind!r}")
         if mapping_kind == "in_element_equidistant" and mode != "interpolation":
             raise ValueError("in-element mapping requires interpolation mode")
+        if mode == "conformal" and mapping_kind != "identity":
+            raise ValueError("conformal mode takes only the identity mapping")
 
-        if labels is None:
-            labels = classify_elements(mesh, geometry)
         if mode not in per_mode:
-            keep = labels == INSIDE if mode == "extrapolation" else labels != OUTSIDE
+            if mode == "conformal":
+                keep = np.ones(mesh.n_elements, dtype=bool)
+            else:
+                if labels is None:
+                    labels = classify_elements(mesh, geometry)
+                keep = labels == INSIDE if mode == "extrapolation" else labels != OUTSIDE
             active = np.flatnonzero(keep)
-            _check_connected(mesh, active)
+            if mode != "conformal":
+                _check_connected(mesh, active)
             per_mode[mode] = (active, *_surrogate_edges(mesh, keep))
         active, edges, owners = per_mode[mode]
         if mapping_kind == "in_element_equidistant" and mode not in crossings:
@@ -432,10 +441,11 @@ def build_surrogate(
     with one variant.
 
     mode 'extrapolation' keeps fully-inside elements (SBM-e); 'interpolation'
-    keeps inside and cut elements (SBM-ei / SBM-i). mapping_kind
-    'closest_point' projects along the true normal; 'in_element_equidistant'
-    (interpolation mode only) spreads the points over the boundary arc cut
-    out by the owning element.
+    keeps inside and cut elements (SBM-ei / SBM-i); 'conformal' keeps every
+    element (CBM). mapping_kind 'closest_point' projects along the true
+    normal; 'in_element_equidistant' (interpolation mode only) spreads the
+    points over the boundary arc cut out by the owning element; 'identity'
+    (the only one of conformal mode) keeps x = x_bar and n = n_bar.
     """
     return build_surrogates(mesh, geometry, [(mode, mapping_kind, order)])[0]
 
@@ -445,18 +455,9 @@ def conformal_surrogate(
     geometry: ImplicitGeometry | None = None,
     order: int = 1,
 ) -> SurrogateDomain:
-    """Body-fitted path: every element is active, the surrogate boundary is
-    the mesh hull, and the mapping degenerates (x = x_bar, d = 0, n = n_bar),
-    so conformal and shifted assemblies share one code path."""
-    edges = mesh.boundary_edges
-    owners = mesh.edge_elems[edges, 0]
-    records = _edge_records(mesh, geometry, "identity", edges, owners, order)
-    return SurrogateDomain(
-        mesh=mesh,
-        geometry=geometry,
-        mode="conformal",
-        mapping_kind="identity",
-        order=order,
-        active=np.arange(mesh.n_elements),
-        records=records,
-    )
+    """Body-fitted path: `build_surrogates` with the one variant
+    ('conformal', 'identity', order). Every element is active, the surrogate
+    boundary is the mesh hull, and the mapping degenerates (x = x_bar,
+    d = 0, n = n_bar), so conformal and shifted assemblies share one code
+    path."""
+    return build_surrogates(mesh, geometry, [("conformal", "identity", order)])[0]

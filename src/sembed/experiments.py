@@ -17,7 +17,7 @@ import json
 import logging
 import numbers
 import time
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, asdict
 from functools import partial
 
 import numpy as np
@@ -34,9 +34,7 @@ from .assembly import (
     _eval_flux,
     assemble,
 )
-from .embedding import (
-    _edge_records, build_surrogate, build_surrogates, conformal_surrogate,
-)
+from .embedding import build_surrogate, build_surrogates
 from .geometry import Circle, Rectangle, Difference
 from .meshing import generate_structured_disk, generate_structured_square
 from .mms import ManufacturedSolution, l1_error
@@ -54,7 +52,7 @@ log = logging.getLogger(__name__)
 
 # method -> (active-set mode, mapping kind, mesh radius offset in units of l_c)
 METHODS = {
-    "cbm": None,
+    "cbm": ("conformal", "identity", 0.0),
     "sbm-e": ("extrapolation", "closest_point", -0.25),
     "sbm-ei": ("interpolation", "closest_point", 0.25),
     "sbm-i": ("interpolation", "in_element_equidistant", 0.25),
@@ -157,15 +155,12 @@ class ExperimentSpec:
 
 def _surrogate(method, mesh, geometry, order):
     """The surrogate domain `method` builds on `mesh`."""
-    if method == "cbm":
-        return conformal_surrogate(mesh, geometry, order)
     return build_surrogate(mesh, geometry, *METHODS[method][:2], order)
 
 
 def disk_fixture(method, lc, order):
     """Aligned circle fixture: a structured disk mesh sized per method."""
-    offset = 0.0 if method == "cbm" else METHODS[method][2]
-    mesh = generate_structured_disk(lc, FIXTURE_RADIUS + offset * lc,
+    mesh = generate_structured_disk(lc, FIXTURE_RADIUS + METHODS[method][2] * lc,
                                     FIXTURE_CENTER)
     return _surrogate(method, mesh, FIXTURE_CIRCLE, order)
 
@@ -259,8 +254,8 @@ def aligned_degeneration(lc=0.2, order=2, bc="dirichlet"):
     """Max entrywise matrix/rhs gap between each degenerate SBM assembly
     and the conformal assembly on the same boundary-aligned mesh.
 
-    All mapping distances are forced to zero (each method's records rebuilt
-    on its own edges and owners with the identity mapping), so every variant
+    Every method's domain is built with the identity mapping on its own
+    surrogate edges, so all mapping distances are zero and every variant
     must reproduce the conformal operator exactly.
     """
     mesh = generate_structured_disk(lc, FIXTURE_RADIUS, FIXTURE_CENTER)
@@ -268,19 +263,13 @@ def aligned_degeneration(lc=0.2, order=2, bc="dirichlet"):
             "robin": "nitsche_full_condition"}[bc]
     problem = _make_problem(ManufacturedSolution(wavenumber=1), bc, form)
 
-    reference = assemble(_surrogate("cbm", mesh, FIXTURE_CIRCLE, order),
-                         problem)
+    domains = build_surrogates(
+        mesh, FIXTURE_CIRCLE, [(METHODS[m][0], "identity", order) for m in METHODS])
+    systems = {m: assemble(d, problem) for m, d in zip(METHODS, domains)}
+    reference = systems.pop("cbm")
     scale = abs(reference.matrix).max()
     gaps = {}
-    for method in METHODS:
-        if method == "cbm":
-            continue
-        domain = _surrogate(method, mesh, FIXTURE_CIRCLE, order)
-        rec = domain.records
-        degenerate = _edge_records(mesh, FIXTURE_CIRCLE, "identity", rec.edge,
-                                   rec.elem, order)
-        domain = replace(domain, records=degenerate)
-        system = assemble(domain, problem)
+    for method, system in systems.items():
         gap_a = abs(system.matrix - reference.matrix).max() / scale
         gap_b = np.abs(system.rhs - reference.rhs).max() / max(
             np.abs(reference.rhs).max(), 1.0
@@ -314,8 +303,13 @@ def random_embedding_assessment(n_circles=100, lc=RANDOM_EMBEDDING_LC, seed=0,
     its (method, order) surrogates build; they are built together by one
     `build_surrogates` call, and each is solved once.
     Returns per-(method, order) medians and variances of log10 L1 error and
-    log10 cond, plus the raw samples.
+    log10 cond, plus the raw samples. A count n_circles below 1 or an order
+    `build_reference_element` rejects raises ValueError before any draw.
     """
+    if not (isinstance(n_circles, numbers.Integral) and n_circles >= 1):
+        raise ValueError(f"n_circles must be a positive integer, got {n_circles!r}")
+    for p in orders:
+        build_reference_element(p)
     rng = np.random.default_rng(np.random.PCG64(seed))
     mesh = generate_structured_square(lc, SQUARE_SIDE, SQUARE_SIDE)
     mms = ManufacturedSolution(wavenumber=wavenumber)

@@ -1,5 +1,6 @@
 """Weak forms and system assembly."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -378,6 +379,25 @@ def test_flux_values_assemble_like_a_callable_returning_them(kind):
             a, b = getattr(got.matrix, name), getattr(want.matrix, name)
             assert a.tobytes() == b.tobytes(), (form, name)
         assert got.rhs.tobytes() == want.rhs.tobytes(), form
+
+
+@pytest.mark.parametrize("extra", [(7, 0), (0, 1), (-1, 0)])
+@pytest.mark.parametrize("make", [
+    lambda a: DirichletBC(a),
+    lambda a: NeumannBC(a),
+    lambda a: RobinBC(a, 0.0, eps=1.0),
+    lambda a: RobinBC(0.0, a, eps=1.0),
+], ids=["dirichlet", "neumann", "robin-u", "robin-q"])
+def test_array_data_of_the_wrong_shape_is_rejected(make, extra):
+    # an array data table must be (n_rec, nq); a longer one used to
+    # assemble from its first n_rec rows
+    domain = disk_fixture("sbm-i", 0.2, 2)
+    n_rec, nq = domain.records.w.shape
+    shape = (n_rec + extra[0], nq + extra[1])
+    problem = BoundaryProblem(conditions=[make(np.zeros(shape))], alpha=1.0)
+    with pytest.raises(ValueError, match=re.escape(
+            f"boundary data of shape {shape}, expected {(n_rec, nq)}")):
+        assemble(domain, problem)
 
 
 def test_mapped_point_past_the_extrapolation_guard_is_rejected():

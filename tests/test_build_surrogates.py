@@ -1,7 +1,8 @@
 """`build_surrogates` against one `build_surrogate` per variant: bitwise
 equal records, DOF numbering and traces, the same errors and the same
 warnings, and domains of one (mode, order) sharing what they have in
-common."""
+common. Its conformal mode and identity mapping against the builds they
+replaced."""
 
 import dataclasses
 import logging
@@ -9,14 +10,20 @@ import logging
 import numpy as np
 import pytest
 
+from sembed import experiments
 from sembed.assembly import build_dof_map
 from sembed.embedding import (
     BoundaryTraces,
     EdgeRecords,
+    SurrogateDomain,
+    _edge_records,
     build_surrogate,
     build_surrogates,
+    conformal_surrogate,
 )
 from sembed.experiments import (
+    FIXTURE_CENTER,
+    FIXTURE_CIRCLE,
     FIXTURE_RADIUS,
     METHODS,
     PLATE_WITH_HOLE,
@@ -24,7 +31,7 @@ from sembed.experiments import (
     SQUARE_SIDE,
 )
 from sembed.geometry import Circle
-from sembed.meshing import generate_structured_square
+from sembed.meshing import generate_structured_disk, generate_structured_square
 
 # the six cells of one random embedding, in random_embedding_assessment's
 # order, and a mixed order that revisits modes and orders
@@ -115,9 +122,11 @@ def test_replaced_records_take_their_own_traces():
     # the circle is small and passes through a mesh vertex: sbm-e's active
     # set is empty, and the sbm-i variant first logs two fallback warnings
     ([CELLS[4], CELLS[2], CELLS[0]], "active element set is empty"),
-    ([CELLS[4], ("conformal", "identity", 3)], "unknown mode 'conformal'"),
+    ([CELLS[4], ("conforming", "identity", 3)], "unknown mode 'conforming'"),
     ([CELLS[4], ("extrapolation", "in_element_equidistant", 3)],
      "in-element mapping requires interpolation mode"),
+    ([CELLS[4], ("conformal", "closest_point", 3)],
+     "conformal mode takes only the identity mapping"),
 ])
 def test_failing_variant_raises_the_same_error_after_the_same_warnings(
         variants, message, caplog):
@@ -134,3 +143,84 @@ def test_failing_variant_raises_the_same_error_after_the_same_warnings(
         warned_alone = [r.getMessage() for r in caplog.records]
     assert str(together.value) == str(alone.value) == message
     assert len(warned_alone) == 2 and warned_together == warned_alone
+
+
+def assert_domains_bitwise(got, want):
+    """Active set, records, DOF numbering and traces, bit for bit."""
+    assert_bitwise(got.active, want.active)
+    for field in dataclasses.fields(EdgeRecords):
+        assert_bitwise(getattr(got.records, field.name),
+                       getattr(want.records, field.name))
+    for a, b in zip(got.dof_map, build_dof_map(want)):
+        assert_bitwise(a, b)
+    for field in dataclasses.fields(BoundaryTraces):
+        assert_bitwise(getattr(got.traces, field.name),
+                       getattr(want.traces, field.name))
+
+
+def old_conformal_surrogate(mesh, geometry, order):
+    """The conformal builder that the conformal mode replaced."""
+    edges = mesh.boundary_edges
+    owners = mesh.edge_elems[edges, 0]
+    records = _edge_records(mesh, geometry, "identity", edges, owners, order)
+    return SurrogateDomain(
+        mesh=mesh,
+        geometry=geometry,
+        mode="conformal",
+        mapping_kind="identity",
+        order=order,
+        active=np.arange(mesh.n_elements),
+        records=records,
+    )
+
+
+DISK = generate_structured_disk(0.2, FIXTURE_RADIUS, FIXTURE_CENTER)
+
+
+@pytest.mark.parametrize("order", [1, 3])
+@pytest.mark.parametrize("case", ["disk", "square-no-geometry"])
+def test_conformal_mode_equals_the_old_conformal_builder(case, order):
+    if case == "disk":
+        mesh, geometry = DISK, FIXTURE_CIRCLE
+    else:
+        mesh, geometry = generate_structured_square(0.25, 1.0, 1.0), None
+    want = old_conformal_surrogate(mesh, geometry, order)
+    together = build_surrogates(mesh, geometry, [("conformal", "identity", p)
+                                                  for p in (1, 3)])
+    for got in (conformal_surrogate(mesh, geometry, order),
+                build_surrogate(mesh, geometry, "conformal", "identity", order),
+                together[(1, 3).index(order)]):
+        assert (got.mode, got.mapping_kind, got.order) == ("conformal", "identity", order)
+        assert got.geometry is geometry
+        assert_domains_bitwise(got, want)
+
+
+@pytest.mark.parametrize("order", [1, 3])
+@pytest.mark.parametrize("case", ["disk", "circle-0"])
+def test_identity_variants_equal_mapped_builds_with_identity_records(
+        case, order):
+    # the oracle: the mapped build with identity records rebuilt on its
+    # own edges and owners
+    mesh, geometry = (DISK, FIXTURE_CIRCLE) if case == "disk" else (
+        SQUARE, random_circle(0))
+    methods = ("sbm-e", "sbm-ei", "sbm-i")
+    together = build_surrogates(mesh, geometry, [(METHODS[m][0], "identity", order)
+                                                 for m in methods])
+    for method, got in zip(methods, together):
+        mapped = build_surrogate(mesh, geometry, *METHODS[method][:2], order)
+        rec = mapped.records
+        want = dataclasses.replace(mapped, records=_edge_records(
+            mesh, geometry, "identity", rec.edge, rec.elem, order))
+        assert (got.mode, got.mapping_kind) == (METHODS[method][0], "identity")
+        assert_domains_bitwise(got, want)
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann", "robin"])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_aligned_degeneration_logs_no_warning(order, bc, caplog):
+    # sbm-i's mapped records on this mesh fall back to closest point on
+    # edges 34 and 35, with a warning each; identity records never do
+    with caplog.at_level(logging.WARNING):
+        gaps = experiments.aligned_degeneration(0.2, order, bc)
+    assert caplog.records == []
+    assert max(gaps.values()) <= 1e-12

@@ -352,3 +352,23 @@ def test_random_embedding_logs_each_resampled_center(monkeypatch, caplog):
     assert "resampling" in warnings[0].getMessage()
     assert "empty active set" in warnings[0].getMessage()
     assert len(centers) == 1 and tuple(centers[0]) != rejected[0]
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(orders=(0,)), "order must be an integer"),
+    (dict(orders=(3, 11)), "order must be an integer"),
+    (dict(n_circles=0), "n_circles must be a positive integer"),
+    (dict(n_circles=-2), "n_circles must be a positive integer"),
+])
+def test_random_embedding_rejects_bad_arguments_before_any_draw(
+        kwargs, message, monkeypatch, caplog):
+    # a bad order used to be taken for a degenerate embedding, resampled
+    # 50 times and reported as such; no circle at all gave NaN statistics
+    def no_build(*args):
+        raise AssertionError("a surrogate was built")
+
+    monkeypatch.setattr(experiments, "build_surrogates", no_build)
+    with caplog.at_level(logging.WARNING):
+        with pytest.raises(ValueError, match=message):
+            experiments.random_embedding_assessment(**kwargs)
+    assert caplog.records == []

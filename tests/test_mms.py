@@ -110,6 +110,20 @@ def test_ap_cascade_validates_args():
         ap_cascade(domain, mms.u, q, mms.forcing(0.0), limit="sideways")
 
 
+@pytest.mark.parametrize("limit", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("which", ["u", "q"])
+def test_ap_cascade_rejects_array_data_of_the_wrong_shape(limit, which):
+    # the cascade reads its data as assemble does, shape check included
+    domain = disk_fixture("sbm-i", 0.2, 2)
+    mms = ManufacturedSolution(wavenumber=1)
+    n_rec, nq = domain.records.w.shape
+    data = {"u": mms.u, "q": mms.normal_derivative(Circle(CENTER, RADIUS))}
+    data[which] = np.zeros((n_rec + 7, nq))
+    with pytest.raises(ValueError, match=rf"\({n_rec + 7}, {nq}\), expected "
+                                         rf"\({n_rec}, {nq}\)"):
+        ap_cascade(domain, data["u"], data["q"], mms.forcing(0.0), limit=limit)
+
+
 def test_ap_cascade_zeroth_mode_is_limit_solution():
     domain, system, mms = _system(order=3, lc=0.15)
     q = mms.normal_derivative(Circle(CENTER, RADIUS))

@@ -5,11 +5,12 @@ Runs one pass of each workload in ``perfbench/bench.py`` (``random_embedding``
 at every committed seed, 0 to ``bench.REFERENCE_SEEDS`` - 1), then the Robin
 delta study at sbm-i, lc 0.1, P 1-8, the asymptotic cascade of acceptance
 criterion 09 and the plate-with-hole Robin solves that pick conditions by
-segment id (sbm-i, lc 0.2, P 2 and 4, as posed and swapped), with
-``solve_direct`` and ``l1_error`` wrapped. It prints one line per solve: the
-sha256 of the solution ``u``, then ``cond``, ``residual_inf`` and the L1
-errors taken after it (``-`` for none, comma-separated for several) by
-``repr``. Next come the degenerate-record gaps of ``aligned_degeneration``
+segment id (sbm-i, lc 0.2, P 2 and 4, as posed and swapped), then the
+conformal (cbm) h-convergence ladder at lc 0.2 and 0.1, P 1, 3 and 6, under
+each boundary condition, with ``solve_direct`` and ``l1_error`` wrapped. It
+prints one line per solve: the sha256 of the solution ``u``, then ``cond``,
+``residual_inf`` and the L1 errors taken after it (``-`` for none,
+comma-separated for several) by ``repr``. Next come the degenerate-record gaps of ``aligned_degeneration``
 (no solve) at lc 0.2, one line per order P 1-4 and boundary condition, each
 method's gap by ``repr``. Last, for each order P 1-10, one line with the
 sha256 of the reference element's ``vandermonde_inv``, ``cub_basis``,
@@ -82,6 +83,11 @@ def main(argv=None):
         runs[f"mixed_dirichlet_neumann/swap={swap}"] = partial(
             experiments.mixed_dirichlet_neumann, "sbm-i", lc=0.2,
             orders=(2, 4), swap=swap)
+    for bc in experiments.FORMS:
+        runs[f"h_convergence/cbm/bc={bc}"] = partial(
+            experiments.run, experiments.ExperimentSpec(
+                kind="h_convergence", method="cbm", bc=bc,
+                lc_ladder=(0.2, 0.1), p_ladder=(1, 3, 6)))
     for label, run in runs.items():
         cells.clear()
         run()
